@@ -126,34 +126,15 @@ fn main() {
             probe.jobs_dispatched
         );
     }
-    if let Some(probe) = &report.fusion {
-        eprintln!(
-            "fusion: {} tails -> {} invocations ({} lanes, {:.0}% occupancy), identical: {}",
-            probe.fused_chunks,
-            probe.invocations,
-            probe.fused_lanes,
-            probe.occupancy_pct,
-            probe.identical
-        );
-    }
     if let Some(probe) = &report.serve {
         eprintln!(
-            "serve: {} tenants in {:.1} ms ({:.0} sims/s, {} fused tails at {:.0}% occupancy), identical: {}",
-            probe.tenants,
-            probe.wall_ms,
-            probe.sims_per_sec,
-            probe.fused_chunks,
-            probe.fusion_occupancy_pct,
-            probe.identical
+            "serve: {} tenants in {:.1} ms ({:.0} sims/s), identical: {}",
+            probe.tenants, probe.wall_ms, probe.sims_per_sec, probe.identical
         );
     }
     assert!(
         report.phase_identical && report.repo_identical,
         "parallel run diverged from serial — determinism bug"
-    );
-    assert!(
-        report.fusion.as_ref().is_none_or(|p| p.identical),
-        "fused runner diverged from the unfused reference — determinism bug"
     );
     assert!(
         report.serve.as_ref().is_none_or(|p| p.identical),
@@ -233,8 +214,6 @@ struct TrajectoryEntry {
     planes_identical: bool,
     best_plane_speedup: f64,
     dispatch_ns_per_chunk: Option<f64>,
-    fusion_occupancy_pct: Option<f64>,
-    fusion_identical: Option<bool>,
     serve_sims_per_sec: Option<f64>,
     serve_identical: Option<bool>,
 }
@@ -271,8 +250,6 @@ fn append_trajectory(report: &ascdg_bench::parallel::ParallelBenchReport) {
             .map(|p| p.plane_speedup)
             .fold(0.0f64, f64::max),
         dispatch_ns_per_chunk: report.dispatch.as_ref().map(|p| p.dispatch_ns_per_chunk),
-        fusion_occupancy_pct: report.fusion.as_ref().map(|p| p.occupancy_pct),
-        fusion_identical: report.fusion.as_ref().map(|p| p.identical),
         serve_sims_per_sec: report.serve.as_ref().map(|p| p.sims_per_sec),
         serve_identical: report.serve.as_ref().map(|p| p.identical),
     };

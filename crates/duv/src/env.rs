@@ -6,19 +6,34 @@ use ascdg_template::{ParamRegistry, ResolvedParams, TemplateLibrary, TestTemplat
 
 use crate::{EnvError, SimScratch};
 
-/// One segment of a fused plane block: a short run of instances of one
-/// resolved template, packed lane-adjacent with segments of *other*
-/// templates into a single [`VerifEnv::simulate_fused_plane`] invocation.
+/// One segment of a plane block: a run of instances of one resolved
+/// template, packed lane-adjacent with the block's other segments into a
+/// single [`VerifEnv::simulate_fused_plane`] invocation.
 ///
-/// Segments come from different campaign groups or serve tenants whose
-/// chunk tails individually under-fill a kernel block; fusing them keeps
-/// the plane's popcount sweep working on full words.
+/// A single template's block is a one-segment block; several segments
+/// let one kernel call mix templates (or ragged tails of them) in one
+/// block.
 #[derive(Debug, Clone, Copy)]
 pub struct FusedSegment<'a> {
     /// The segment's resolved template parameters.
     pub params: &'a ResolvedParams,
     /// The segment's pre-derived sampler seeds, one lane per seed.
     pub seeds: &'a [u64],
+}
+
+/// The number of lanes a block of `segments` fills.
+pub(crate) fn block_len(segments: &[FusedSegment<'_>]) -> usize {
+    segments.iter().map(|s| s.seeds.len()).sum()
+}
+
+/// Every lane of a block in lane order: its segment's parameters and its
+/// sampler seed.
+pub(crate) fn block_lanes<'a>(
+    segments: &'a [FusedSegment<'a>],
+) -> impl Iterator<Item = (&'a ResolvedParams, u64)> + 'a {
+    segments
+        .iter()
+        .flat_map(|s| s.seeds.iter().map(move |&seed| (s.params, seed)))
 }
 
 /// A black-box verification environment: a simulated unit plus everything
@@ -34,6 +49,16 @@ pub struct FusedSegment<'a> {
 ///   during the project, which the coarse-grained search mines;
 /// * the **coverage model**: the unit's declared events;
 /// * the **simulator**: template + seed → coverage vector.
+///
+/// The simulator has one reference and one kernel.
+/// [`VerifEnv::simulate_seeded`] simulates one instance into a fresh
+/// [`CoverageVector`]; it is the only required simulate method.
+/// [`VerifEnv::simulate_fused_plane`] simulates a block of up to
+/// [`PLANE_LANES`] instances into the scratch's coverage bit-plane; the
+/// built-in units override it with their lane kernel, and its default
+/// calls the reference once per lane. Every other simulate method is a
+/// provided shape over those two, and each lane is byte-identical to the
+/// reference.
 ///
 /// Implementations must be `Send + Sync`; the batch environment simulates
 /// from many worker threads.
@@ -51,14 +76,14 @@ pub trait VerifEnv: Send + Sync {
     fn stock_library(&self) -> &TemplateLibrary;
 
     /// Simulates one test-instance generated from pre-resolved parameters
-    /// with a fully-derived generator seed.
+    /// with a fully-derived generator seed — the reference every other
+    /// simulate method must match lane for lane.
     ///
     /// `sampler_seed` is the final seed the environment hands its
     /// [`ParamSampler`](ascdg_stimgen::ParamSampler) — all derivation
     /// (base seed, template-name hash, instance index) has already
-    /// happened in the caller. This is the batch hot path: runners hash
-    /// the template name once per point
-    /// ([`SeedStream`](ascdg_stimgen::SeedStream)) and derive each
+    /// happened in the caller: runners hash the template name once per
+    /// point ([`SeedStream`](ascdg_stimgen::SeedStream)) and derive each
     /// instance's seed with pure integer mixing, so the per-simulation
     /// cost carries no string hashing.
     ///
@@ -72,94 +97,21 @@ pub trait VerifEnv: Send + Sync {
         sampler_seed: u64,
     ) -> Result<CoverageVector, EnvError>;
 
-    /// Simulates a whole chunk of instances of one resolved template, one
-    /// per entry of `seeds`, reusing the worker's `scratch` buffers.
+    /// The lane kernel: simulates a block of lane-adjacent segments — each
+    /// a seed run of its own resolved template — into `scratch.plane()`.
+    /// Segment 0 owns lanes `0..seg0.seeds.len()`, segment 1 the next
+    /// run, and so on.
     ///
-    /// The result is **byte-identical** to calling
-    /// [`VerifEnv::simulate_seeded`] once per seed, in order — the batch
-    /// entry point exists purely for throughput: the built-in units
-    /// override it with cache-resident kernels that generate every stimulus
-    /// program into the scratch arena and run the cycle loops back to back
-    /// over hot model state. The default implementation is that sequential
-    /// loop (drawing coverage vectors from the scratch pool), so external
-    /// environments keep working unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Any [`VerifEnv::simulate_seeded`] error; partial results are
-    /// discarded.
-    fn simulate_batch(
-        &self,
-        resolved: &ResolvedParams,
-        seeds: &[u64],
-        scratch: &mut SimScratch,
-    ) -> Result<Vec<CoverageVector>, EnvError> {
-        let _ = scratch;
-        seeds
-            .iter()
-            .map(|&s| self.simulate_seeded(resolved, s))
-            .collect()
-    }
-
-    /// Simulates a kernel block of up to
-    /// [`PLANE_LANES`](ascdg_coverage::PLANE_LANES) instances directly
-    /// into the scratch's transposed coverage bit-plane (seed `i` owns
-    /// lane `i`), leaving the block in `scratch.plane()` — zero per-sim
-    /// coverage allocation on the hot path.
-    ///
-    /// The recorded plane is **byte-identical** to scattering each
-    /// [`VerifEnv::simulate_batch`] vector into its lane; the built-in
-    /// units override this with kernels whose cycle models record
-    /// straight into the lane (`word(event) |= 1 << lane`), and the
-    /// default implementation is exactly that scatter bridge, so
-    /// external environments keep working unchanged.
+    /// Every lane is **byte-identical** to [`VerifEnv::simulate_seeded`]
+    /// on that lane's parameters and seed. The built-in units override
+    /// this with kernels that reuse the scratch arena and record straight
+    /// into the lane (`word(event) |= 1 << lane`). The default calls
+    /// `simulate_seeded` per lane and records each vector into its lane,
+    /// so an environment that implements only the reference still works.
     ///
     /// # Errors
     ///
-    /// Any [`VerifEnv::simulate_batch`] error; the plane contents are
-    /// unspecified after an error.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `seeds` exceeds one plane block
-    /// ([`PLANE_LANES`](ascdg_coverage::PLANE_LANES) = 64 seeds).
-    fn simulate_batch_plane(
-        &self,
-        resolved: &ResolvedParams,
-        seeds: &[u64],
-        scratch: &mut SimScratch,
-    ) -> Result<(), EnvError> {
-        let events = self.coverage_model().len();
-        let covs = self.simulate_batch(resolved, seeds, scratch)?;
-        let plane = scratch.plane_mut();
-        plane.begin(events, covs.len());
-        for (lane, cov) in covs.iter().enumerate() {
-            plane.record_vector(lane, cov);
-        }
-        for cov in covs {
-            scratch.recycle(cov);
-        }
-        Ok(())
-    }
-
-    /// Simulates several lane-adjacent segments — each a short seed run
-    /// of its *own* resolved template — into one shared plane block in
-    /// `scratch.plane()`: segment 0 owns lanes `0..seg0.seeds.len()`,
-    /// segment 1 the next run, and so on.
-    ///
-    /// Each segment's lanes are **byte-identical** to simulating that
-    /// segment alone through [`VerifEnv::simulate_batch_plane`]; fusion
-    /// only changes which lanes share a block, never what any lane
-    /// records. The default implementation routes each segment through
-    /// [`VerifEnv::simulate_batch`] (each unit's overridden arena
-    /// kernel) and scatters the vectors at the segment's lane offset, so
-    /// external environments keep working unchanged. Callers fold each
-    /// segment's lane range out with
-    /// [`CoveragePlane::fold_lanes_into`](ascdg_coverage::CoveragePlane::fold_lanes_into).
-    ///
-    /// # Errors
-    ///
-    /// Any [`VerifEnv::simulate_batch`] error; the plane contents are
+    /// Any [`VerifEnv::simulate_seeded`] error; the plane contents are
     /// unspecified after an error.
     ///
     /// # Panics
@@ -171,25 +123,66 @@ pub trait VerifEnv: Send + Sync {
         segments: &[FusedSegment<'_>],
         scratch: &mut SimScratch,
     ) -> Result<(), EnvError> {
-        let total: usize = segments.iter().map(|s| s.seeds.len()).sum();
-        assert!(
-            total <= PLANE_LANES,
-            "fused block of {total} lanes exceeds {PLANE_LANES}"
-        );
-        let events = self.coverage_model().len();
-        let mut staged = Vec::with_capacity(total);
-        for seg in segments {
-            staged.extend(self.simulate_batch(seg.params, seg.seeds, scratch)?);
-        }
         let plane = scratch.plane_mut();
-        plane.begin(events, total);
-        for (lane, cov) in staged.iter().enumerate() {
-            plane.record_vector(lane, cov);
-        }
-        for cov in staged {
-            scratch.recycle(cov);
+        plane.begin(self.coverage_model().len(), block_len(segments));
+        for (lane, (params, seed)) in block_lanes(segments).enumerate() {
+            plane.record_vector(lane, &self.simulate_seeded(params, seed)?);
         }
         Ok(())
+    }
+
+    /// Simulates one template's block of up to [`PLANE_LANES`] instances
+    /// into `scratch.plane()` (seed `i` owns lane `i`): a one-segment
+    /// [`VerifEnv::simulate_fused_plane`] call.
+    ///
+    /// # Errors
+    ///
+    /// Any [`VerifEnv::simulate_fused_plane`] error.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `seeds` exceeds one plane block
+    /// ([`PLANE_LANES`] = 64 seeds).
+    fn simulate_batch_plane(
+        &self,
+        resolved: &ResolvedParams,
+        seeds: &[u64],
+        scratch: &mut SimScratch,
+    ) -> Result<(), EnvError> {
+        let segment = FusedSegment {
+            params: resolved,
+            seeds,
+        };
+        self.simulate_fused_plane(&[segment], scratch)
+    }
+
+    /// Simulates any number of instances of one template into per-sim
+    /// coverage vectors, one per seed, in order: the kernel runs per
+    /// block of at most [`PLANE_LANES`] seeds, and each lane is extracted
+    /// into a vector drawn from the scratch's recycling pool
+    /// ([`SimScratch::take_cov`]).
+    ///
+    /// # Errors
+    ///
+    /// Any [`VerifEnv::simulate_batch_plane`] error; partial results are
+    /// discarded.
+    fn simulate_batch(
+        &self,
+        resolved: &ResolvedParams,
+        seeds: &[u64],
+        scratch: &mut SimScratch,
+    ) -> Result<Vec<CoverageVector>, EnvError> {
+        let events = self.coverage_model().len();
+        let mut out = Vec::with_capacity(seeds.len());
+        for block in seeds.chunks(PLANE_LANES) {
+            self.simulate_batch_plane(resolved, block, scratch)?;
+            for lane in 0..block.len() {
+                let mut cov = scratch.take_cov(events);
+                scratch.plane().extract_into(lane, &mut cov);
+                out.push(cov);
+            }
+        }
+        Ok(out)
     }
 
     /// Simulates one test-instance generated from pre-resolved parameters,

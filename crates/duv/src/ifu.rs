@@ -25,7 +25,8 @@ use ascdg_template::{
     ParamDef, ParamRegistry, ResolvedParams, TemplateLibrary, TestTemplate, Value,
 };
 
-use crate::{EnvError, SimScratch, VerifEnv};
+use crate::env::{block_lanes, block_len};
+use crate::{EnvError, FusedSegment, SimScratch, VerifEnv};
 
 /// Fetch buffer depth.
 pub const BUFFER_ENTRIES: usize = 8;
@@ -331,60 +332,33 @@ impl VerifEnv for IfuEnv {
         Ok(self.run_program(&program))
     }
 
-    fn simulate_batch(
+    fn simulate_fused_plane(
         &self,
-        resolved: &ResolvedParams,
-        seeds: &[u64],
-        scratch: &mut SimScratch,
-    ) -> Result<Vec<CoverageVector>, EnvError> {
-        // Two-phase kernel: `run_program` draws nothing from the sampler, so
-        // the whole chunk's programs can be generated first (back to back in
-        // the scratch arena) and the cycle loops then run while the buffer
-        // model's working set stays cache-resident.
-        scratch.fetch_ops.clear();
-        scratch.fetch_bounds.clear();
-        scratch.fetch_bounds.push(0);
-        for &seed in seeds {
-            let mut sampler = ParamSampler::new(resolved, seed);
-            self.generate_into(&mut sampler, &mut scratch.fetch_ops)?;
-            scratch.fetch_bounds.push(scratch.fetch_ops.len());
-        }
-        let mut out = Vec::with_capacity(seeds.len());
-        for w in 0..seeds.len() {
-            let (lo, hi) = (scratch.fetch_bounds[w], scratch.fetch_bounds[w + 1]);
-            let mut cov = scratch.take_cov(self.model.len());
-            self.run_program_into(&scratch.fetch_ops[lo..hi], &mut cov);
-            out.push(cov);
-        }
-        Ok(out)
-    }
-
-    fn simulate_batch_plane(
-        &self,
-        resolved: &ResolvedParams,
-        seeds: &[u64],
+        segments: &[FusedSegment<'_>],
         scratch: &mut SimScratch,
     ) -> Result<(), EnvError> {
-        // Same two-phase kernel as `simulate_batch`, but the cycle loops
-        // record straight into plane lanes — no per-sim vectors at all.
-        scratch.fetch_ops.clear();
-        scratch.fetch_bounds.clear();
-        scratch.fetch_bounds.push(0);
-        for &seed in seeds {
-            let mut sampler = ParamSampler::new(resolved, seed);
-            self.generate_into(&mut sampler, &mut scratch.fetch_ops)?;
-            scratch.fetch_bounds.push(scratch.fetch_ops.len());
-        }
+        // Two-phase kernel: `run_program` draws nothing from the sampler, so
+        // the whole block's programs can be generated first (back to back in
+        // the scratch arena) and the cycle loops then run while the buffer
+        // model's working set stays cache-resident, recording straight into
+        // plane lanes.
         let SimScratch {
             fetch_ops,
             fetch_bounds,
             plane,
             ..
         } = scratch;
-        plane.begin(self.model.len(), seeds.len());
-        for lane in 0..seeds.len() {
-            let (lo, hi) = (fetch_bounds[lane], fetch_bounds[lane + 1]);
-            self.run_program_into(&fetch_ops[lo..hi], &mut plane.lane(lane));
+        fetch_ops.clear();
+        fetch_bounds.clear();
+        fetch_bounds.push(0);
+        for (resolved, seed) in block_lanes(segments) {
+            let mut sampler = ParamSampler::new(resolved, seed);
+            self.generate_into(&mut sampler, fetch_ops)?;
+            fetch_bounds.push(fetch_ops.len());
+        }
+        plane.begin(self.model.len(), block_len(segments));
+        for (lane, w) in fetch_bounds.windows(2).enumerate() {
+            self.run_program_into(&fetch_ops[w[0]..w[1]], &mut plane.lane(lane));
         }
         Ok(())
     }

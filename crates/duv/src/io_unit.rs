@@ -36,7 +36,8 @@ use ascdg_template::{
     ParamDef, ParamRegistry, ResolvedParams, TemplateLibrary, TestTemplate, Value,
 };
 
-use crate::{EnvError, SimScratch, VerifEnv};
+use crate::env::{block_lanes, block_len};
+use crate::{EnvError, FusedSegment, SimScratch, VerifEnv};
 
 /// Maximum inter-command gap (cycles) across which a CRC span survives.
 pub const CHAIN_GAP: u32 = 1;
@@ -541,53 +542,23 @@ impl VerifEnv for IoEnv {
         Ok(self.run_program(&program, &mut sampler, unaligned, resp_queue_cap))
     }
 
-    fn simulate_batch(
+    fn simulate_fused_plane(
         &self,
-        resolved: &ResolvedParams,
-        seeds: &[u64],
-        scratch: &mut SimScratch,
-    ) -> Result<Vec<CoverageVector>, EnvError> {
-        // The sampler is consumed *during* the run phase (per-beat flush
-        // hazard), so sims interleave generate/run per seed — the win is
-        // reusing the command buffer and the response delay line across the
-        // whole chunk.
-        let mut out = Vec::with_capacity(seeds.len());
-        for &seed in seeds {
-            let mut sampler = ParamSampler::new(resolved, seed);
-            let unaligned = sampler.sample_choice("AddrAlign")? == "unaligned";
-            let resp_queue_cap = sampler.sample_int("CreditInit")? as usize;
-            scratch.io_cmds.clear();
-            self.generate_into(&mut sampler, &mut scratch.io_cmds)?;
-            let mut cov = scratch.take_cov(self.model.len());
-            self.run_program_into(
-                &scratch.io_cmds,
-                &mut sampler,
-                unaligned,
-                resp_queue_cap,
-                &mut scratch.io_responses,
-                &mut cov,
-            );
-            out.push(cov);
-        }
-        Ok(out)
-    }
-
-    fn simulate_batch_plane(
-        &self,
-        resolved: &ResolvedParams,
-        seeds: &[u64],
+        segments: &[FusedSegment<'_>],
         scratch: &mut SimScratch,
     ) -> Result<(), EnvError> {
-        // Same interleaved kernel as `simulate_batch`, but each sim's
-        // cycle model records straight into its plane lane.
+        // The sampler is consumed *during* the run phase (per-beat flush
+        // hazard), so sims interleave generate/run per lane — the win is
+        // reusing the command buffer and the response delay line across
+        // the whole block, and recording straight into the plane lane.
         let SimScratch {
             io_cmds,
             io_responses,
             plane,
             ..
         } = scratch;
-        plane.begin(self.model.len(), seeds.len());
-        for (lane, &seed) in seeds.iter().enumerate() {
+        plane.begin(self.model.len(), block_len(segments));
+        for (lane, (resolved, seed)) in block_lanes(segments).enumerate() {
             let mut sampler = ParamSampler::new(resolved, seed);
             let unaligned = sampler.sample_choice("AddrAlign")? == "unaligned";
             let resp_queue_cap = sampler.sample_int("CreditInit")? as usize;

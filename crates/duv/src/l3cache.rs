@@ -30,8 +30,9 @@ use ascdg_template::{
     ParamDef, ParamRegistry, ResolvedParams, TemplateLibrary, TestTemplate, Value,
 };
 
+use crate::env::{block_lanes, block_len};
 use crate::kernel::DelayLine;
-use crate::{EnvError, SimScratch, VerifEnv};
+use crate::{EnvError, FusedSegment, SimScratch, VerifEnv};
 
 /// Number of cache sets.
 pub const SETS: usize = 256;
@@ -566,48 +567,16 @@ impl VerifEnv for L3Env {
         ))
     }
 
-    fn simulate_batch(
+    fn simulate_fused_plane(
         &self,
-        resolved: &ResolvedParams,
-        seeds: &[u64],
-        scratch: &mut SimScratch,
-    ) -> Result<Vec<CoverageVector>, EnvError> {
-        // The sampler is consumed *during* the run phase (snoops, memory
-        // jitter), so sims interleave generate/run per seed — the win is
-        // reusing the program buffer, the per-set LRU stacks and the
-        // in-flight delay line across the whole chunk.
-        let mut out = Vec::with_capacity(seeds.len());
-        for &seed in seeds {
-            let mut sampler = ParamSampler::new(resolved, seed);
-            let stride_mode = sampler.sample_choice("AddrPattern")? == "stride";
-            let snoop_rate = BASE_SNOOP_RATE + sampler.rate("SnoopPct")? * 0.15;
-            scratch.mem_ops.clear();
-            let (base, working_set) =
-                self.generate_into(&mut sampler, stride_mode, &mut scratch.mem_ops)?;
-            let mut cov = scratch.take_cov(self.model.len());
-            self.run_program_into(
-                &scratch.mem_ops,
-                &mut sampler,
-                stride_mode,
-                (base, working_set),
-                snoop_rate,
-                &mut scratch.l3_sets,
-                &mut scratch.l3_inflight,
-                &mut cov,
-            );
-            out.push(cov);
-        }
-        Ok(out)
-    }
-
-    fn simulate_batch_plane(
-        &self,
-        resolved: &ResolvedParams,
-        seeds: &[u64],
+        segments: &[FusedSegment<'_>],
         scratch: &mut SimScratch,
     ) -> Result<(), EnvError> {
-        // Same interleaved kernel as `simulate_batch`, but each sim's
-        // cycle model records straight into its plane lane.
+        // The sampler is consumed *during* the run phase (snoops, memory
+        // jitter), so sims interleave generate/run per lane — the win is
+        // reusing the program buffer, the per-set LRU stacks and the
+        // in-flight delay line across the whole block, and recording
+        // straight into the plane lane.
         let SimScratch {
             mem_ops,
             l3_sets,
@@ -615,8 +584,8 @@ impl VerifEnv for L3Env {
             plane,
             ..
         } = scratch;
-        plane.begin(self.model.len(), seeds.len());
-        for (lane, &seed) in seeds.iter().enumerate() {
+        plane.begin(self.model.len(), block_len(segments));
+        for (lane, (resolved, seed)) in block_lanes(segments).enumerate() {
             let mut sampler = ParamSampler::new(resolved, seed);
             let stride_mode = sampler.sample_choice("AddrPattern")? == "stride";
             let snoop_rate = BASE_SNOOP_RATE + sampler.rate("SnoopPct")? * 0.15;

@@ -8,13 +8,17 @@ use crate::kernel::DelayLine;
 /// Arena-reused buffers for a worker's batched simulations.
 ///
 /// One `SimScratch` belongs to one worker thread and is threaded through
-/// [`VerifEnv::simulate_batch`](crate::VerifEnv::simulate_batch) calls.
-/// Each unit's batch kernel reuses the buffers it needs — stimulus program
-/// storage, cycle-model state (cache sets, delay lines), and a pool of
-/// recycled [`CoverageVector`]s — instead of reallocating them per
-/// simulation. The scratch never influences results: every buffer is
-/// cleared (not trusted) before a simulation uses it, so a fresh scratch
-/// and a heavily reused one produce byte-identical coverage.
+/// every call of the lane kernel,
+/// [`VerifEnv::simulate_fused_plane`](crate::VerifEnv::simulate_fused_plane).
+/// Each unit's kernel reuses the buffers it needs — stimulus program
+/// storage, cycle-model state (cache sets, delay lines) — and records the
+/// block into the scratch's coverage bit-plane ([`SimScratch::plane`]).
+/// A pool of recycled [`CoverageVector`]s serves
+/// [`VerifEnv::simulate_batch`](crate::VerifEnv::simulate_batch), which
+/// extracts plane lanes into per-sim vectors. The scratch never
+/// influences results: every buffer is cleared (not trusted) before a
+/// simulation uses it, so a fresh scratch and a heavily reused one
+/// produce byte-identical coverage.
 ///
 /// # Examples
 ///
@@ -30,7 +34,7 @@ use crate::kernel::DelayLine;
 /// ```
 #[derive(Debug, Default)]
 pub struct SimScratch {
-    /// IFU fetch programs of the whole chunk, laid out back to back.
+    /// IFU fetch programs of the whole block, laid out back to back.
     pub(crate) fetch_ops: Vec<FetchOp>,
     /// Prefix bounds into `fetch_ops`: program `i` is `bounds[i]..bounds[i+1]`.
     pub(crate) fetch_bounds: Vec<usize>,
@@ -46,9 +50,8 @@ pub struct SimScratch {
     pub(crate) io_responses: DelayLine<()>,
     /// Synthetic-unit knob coordinates.
     pub(crate) knob_xs: Vec<f64>,
-    /// The recycled coverage bit-plane
-    /// [`VerifEnv::simulate_batch_plane`](crate::VerifEnv::simulate_batch_plane)
-    /// records the current block into.
+    /// The recycled coverage bit-plane the lane kernel records the current
+    /// block into.
     pub(crate) plane: CoveragePlane,
     /// Recycled coverage vectors, ready for [`SimScratch::take_cov`].
     free: Vec<CoverageVector>,
@@ -96,9 +99,9 @@ impl SimScratch {
         self.allocated
     }
 
-    /// The bit-plane the last
-    /// [`VerifEnv::simulate_batch_plane`](crate::VerifEnv::simulate_batch_plane)
-    /// call recorded into — callers fold or extract lanes from it.
+    /// The bit-plane the last lane-kernel call
+    /// ([`VerifEnv::simulate_fused_plane`](crate::VerifEnv::simulate_fused_plane))
+    /// recorded into — callers fold or extract lanes from it.
     #[must_use]
     pub fn plane(&self) -> &CoveragePlane {
         &self.plane

@@ -24,7 +24,8 @@ use ascdg_template::{
     ParamDef, ParamRegistry, ResolvedParams, TemplateLibrary, TestTemplate, Value,
 };
 
-use crate::{EnvError, SimScratch, VerifEnv};
+use crate::env::{block_lanes, block_len};
+use crate::{EnvError, FusedSegment, SimScratch, VerifEnv};
 
 /// Configuration of a [`SyntheticEnv`].
 ///
@@ -339,32 +340,16 @@ impl VerifEnv for SyntheticEnv {
         Ok(cov)
     }
 
-    fn simulate_batch(
+    fn simulate_fused_plane(
         &self,
-        resolved: &ResolvedParams,
-        seeds: &[u64],
-        scratch: &mut SimScratch,
-    ) -> Result<Vec<CoverageVector>, EnvError> {
-        // No stimulus program to stage — the batch win is reusing the knob
-        // buffer and the recycled coverage vectors.
-        let mut out = Vec::with_capacity(seeds.len());
-        for &seed in seeds {
-            let mut cov = scratch.take_cov(self.model.len());
-            self.simulate_into(resolved, seed, &mut scratch.knob_xs, &mut cov)?;
-            out.push(cov);
-        }
-        Ok(out)
-    }
-
-    fn simulate_batch_plane(
-        &self,
-        resolved: &ResolvedParams,
-        seeds: &[u64],
+        segments: &[FusedSegment<'_>],
         scratch: &mut SimScratch,
     ) -> Result<(), EnvError> {
+        // No stimulus program to stage — the kernel reuses the knob buffer
+        // and records straight into the plane lane.
         let SimScratch { knob_xs, plane, .. } = scratch;
-        plane.begin(self.model.len(), seeds.len());
-        for (lane, &seed) in seeds.iter().enumerate() {
+        plane.begin(self.model.len(), block_len(segments));
+        for (lane, (resolved, seed)) in block_lanes(segments).enumerate() {
             self.simulate_into(resolved, seed, knob_xs, &mut plane.lane(lane))?;
         }
         Ok(())

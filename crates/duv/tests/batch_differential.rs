@@ -1,26 +1,29 @@
-//! Differential tests pinning [`VerifEnv::simulate_batch`] and the
-//! bit-plane entry [`VerifEnv::simulate_batch_plane`] to the sequential
-//! [`VerifEnv::simulate_seeded`] loop, byte for byte.
+//! Differential tests pinning the one lane kernel to the one reference.
 //!
-//! Every built-in unit overrides `simulate_batch` with a specialized
-//! kernel that generates stimulus into a reused scratch arena and runs the
-//! cycle loops back to back, and `simulate_batch_plane` with the same
-//! kernel recording into a transposed coverage bit-plane. These tests are
-//! the contract that both specializations are *purely* throughput changes:
-//! for every unit, every chunking (1, 2, 63, 64, 65, 127, ragged tails)
-//! and every seed stream, the batched coverage — per-sim vectors and
-//! extracted plane lanes alike — equals the one-at-a-time reference,
-//! including when the scratch arena is warm from unrelated prior chunks
-//! (or from the *other* batch entry point), and when several worker
-//! threads batch the same work concurrently (`ASCDG_TEST_THREADS` sizes
-//! the matrix).
+//! Every built-in unit implements exactly two simulate methods:
+//! [`VerifEnv::simulate_seeded`], the one-instance reference, and
+//! [`VerifEnv::simulate_fused_plane`], the lane kernel that simulates a
+//! block of (params, seeds) segments into a reused scratch arena and
+//! records straight into a transposed coverage bit-plane.
+//! [`VerifEnv::simulate_batch_plane`] (a one-segment block) and
+//! [`VerifEnv::simulate_batch`] (per-sim vectors extracted from the plane)
+//! are trait defaults over that kernel. These tests are the contract that
+//! the kernel is *purely* a throughput change: for every unit, every
+//! chunking (1, 2, 63, 64, 65, 127, ragged tails), every mix of templates
+//! within one block and every seed stream, each lane equals the
+//! one-at-a-time reference, including when the scratch arena is warm from
+//! unrelated prior blocks and when several worker threads batch the same
+//! work concurrently (`ASCDG_TEST_THREADS` sizes the matrix). An
+//! environment that implements only the reference pins the defaults the
+//! same way.
 
 use ascdg_coverage::{CoverageVector, PLANE_LANES};
 use ascdg_duv::ifu::IfuEnv;
 use ascdg_duv::io_unit::IoEnv;
 use ascdg_duv::l3cache::L3Env;
 use ascdg_duv::synthetic::SyntheticEnv;
-use ascdg_duv::{SimScratch, VerifEnv};
+use ascdg_duv::{EnvError, FusedSegment, SimScratch, VerifEnv};
+use ascdg_template::{ParamRegistry, ResolvedParams, TemplateLibrary};
 use proptest::prelude::*;
 
 /// Worker-thread matrix width (`ASCDG_TEST_THREADS`, default 4).
@@ -224,6 +227,150 @@ fn warm_scratch_does_not_leak_across_templates() {
                 }
             }
         });
+    }
+}
+
+/// Ragged segment splits of one plane block, each summing to at most
+/// [`PLANE_LANES`] lanes.
+const SPLITS: [&[usize]; 5] = [&[1, 63], &[32, 32], &[7, 20, 30], &[64], &[5, 1, 2]];
+
+/// Multi-segment blocks mixing different stock templates: every lane of
+/// a `simulate_fused_plane` call equals `simulate_seeded` on its own
+/// segment's parameters and seed, for every unit and split, with the
+/// scratch arena warm from the previous block.
+#[test]
+fn multi_segment_blocks_match_the_reference_for_every_unit() {
+    for which in 0..4 {
+        with_env(which, |env| {
+            let library = env.stock_library();
+            let resolved: Vec<_> = library
+                .iter()
+                .map(|(_, t)| env.registry().resolve(t).expect("resolve"))
+                .collect();
+            let events = env.coverage_model().len();
+            let mut scratch = SimScratch::new();
+            // Warm the arena with an unrelated full block first.
+            env.simulate_batch_plane(&resolved[0], &seed_vec(0xA11, PLANE_LANES), &mut scratch)
+                .expect("warm-up block");
+            for (k, split) in SPLITS.iter().enumerate() {
+                let seeds: Vec<Vec<u64>> = split
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &n)| seed_vec(0xF05E + (k * 8 + i) as u64, n))
+                    .collect();
+                let segments: Vec<FusedSegment<'_>> = seeds
+                    .iter()
+                    .enumerate()
+                    .map(|(i, s)| FusedSegment {
+                        params: &resolved[(k + i) % resolved.len()],
+                        seeds: s,
+                    })
+                    .collect();
+                env.simulate_fused_plane(&segments, &mut scratch)
+                    .expect("fused block");
+                let plane = scratch.plane();
+                assert_eq!(plane.lanes(), split.iter().sum::<usize>());
+                let mut lane = 0;
+                for seg in &segments {
+                    for &seed in seg.seeds {
+                        let mut got = CoverageVector::empty(events);
+                        plane.extract_into(lane, &mut got);
+                        assert_eq!(
+                            got,
+                            env.simulate_seeded(seg.params, seed).expect("reference"),
+                            "{} split {split:?} lane {lane} diverged",
+                            env.unit_name()
+                        );
+                        lane += 1;
+                    }
+                }
+            }
+        });
+    }
+}
+
+/// An environment that implements only the reference: every other
+/// simulate method falls back to the trait defaults.
+struct SeededOnly(IoEnv);
+
+impl VerifEnv for SeededOnly {
+    fn unit_name(&self) -> &str {
+        "seeded_only"
+    }
+
+    fn registry(&self) -> &ParamRegistry {
+        self.0.registry()
+    }
+
+    fn coverage_model(&self) -> &ascdg_coverage::CoverageModel {
+        self.0.coverage_model()
+    }
+
+    fn stock_library(&self) -> &TemplateLibrary {
+        self.0.stock_library()
+    }
+
+    fn simulate_seeded(
+        &self,
+        resolved: &ResolvedParams,
+        sampler_seed: u64,
+    ) -> Result<CoverageVector, EnvError> {
+        self.0.simulate_seeded(resolved, sampler_seed)
+    }
+}
+
+/// The three default simulate methods of a reference-only environment
+/// match its reference, and match the built-in io kernel lane for lane.
+#[test]
+fn trait_defaults_match_the_reference() {
+    let env = SeededOnly(IoEnv::new());
+    let library = env.stock_library();
+    let ra = env.registry().resolve(library.get(0).unwrap()).unwrap();
+    let rb = env.registry().resolve(library.get(3).unwrap()).unwrap();
+    let seeds = seed_vec(0xDEF, 130);
+    let reference = sequential(&env, &ra, &seeds);
+    assert_eq!(
+        batched(&env, &ra, &seeds, 130),
+        reference,
+        "default simulate_batch"
+    );
+    assert_eq!(
+        planed(&env, &ra, &seeds, 70),
+        reference,
+        "default simulate_batch_plane"
+    );
+    let (left, right) = seeds.split_at(20);
+    let right = &right[..30];
+    let segments = [
+        FusedSegment {
+            params: &ra,
+            seeds: left,
+        },
+        FusedSegment {
+            params: &rb,
+            seeds: right,
+        },
+    ];
+    let events = env.coverage_model().len();
+    let (mut fallback, mut kernel) = (SimScratch::new(), SimScratch::new());
+    env.simulate_fused_plane(&segments, &mut fallback)
+        .expect("default fused block");
+    env.0
+        .simulate_fused_plane(&segments, &mut kernel)
+        .expect("io kernel block");
+    assert_eq!(fallback.plane(), kernel.plane(), "default vs kernel plane");
+    for (lane, (params, seed)) in segments
+        .iter()
+        .flat_map(|s| s.seeds.iter().map(move |&seed| (s.params, seed)))
+        .enumerate()
+    {
+        let mut got = CoverageVector::empty(events);
+        fallback.plane().extract_into(lane, &mut got);
+        assert_eq!(
+            got,
+            env.simulate_seeded(params, seed).unwrap(),
+            "lane {lane}"
+        );
     }
 }
 

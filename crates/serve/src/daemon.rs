@@ -31,8 +31,8 @@ use std::time::Duration;
 use ascdg_core::{
     fold_campaign, group_uncovered, pool_scope_with, AdmissionQueue, AdmitSpec, ApproxTarget,
     CampaignOutcome, CampaignProgress, CampaignReport, CancelToken, CdgFlow, CheckpointWriter,
-    FlowConfig, FlowEngine, FlowError, FusionHub, GroupProgress, GroupRun, RunManifest,
-    SessionState, SharedEvalCache, SimPool, Telemetry,
+    FlowConfig, FlowEngine, FlowError, GroupProgress, GroupRun, RunManifest, SessionState,
+    SharedEvalCache, SimPool, Telemetry,
 };
 use ascdg_coverage::{CoverageRepository, EventId, StatusCounts, StatusPolicy};
 use ascdg_duv::ifu::IfuEnv;
@@ -125,14 +125,11 @@ pub fn request_config(unit: &dyn VerifEnv, profile: &str, scale: f64) -> Option<
     Some(base.scaled(scale))
 }
 
-/// One unit's scheduling shard: its environment, admission queue, and the
-/// chunk-fusion hub its whole worker crew dispatches through — so tenants
-/// of the same unit fuse their sub-block chunk tails into shared plane
-/// invocations even when different workers step them.
+/// One unit's scheduling shard: its environment and the admission queue
+/// its worker crew drains.
 struct Shard<'outer> {
     env: &'outer Arc<dyn VerifEnv>,
     queue: AdmissionQueue<'static>,
-    fusion: Arc<FusionHub<'outer>>,
 }
 
 impl Shard<'_> {
@@ -261,7 +258,6 @@ pub fn serve(opts: &ServeOptions) -> std::io::Result<()> {
             .map(|env| Shard {
                 env,
                 queue: AdmissionQueue::new(opts.telemetry.clone()),
-                fusion: Arc::new(FusionHub::new()),
             })
             .collect();
         std::thread::scope(|scope| {
@@ -270,8 +266,7 @@ pub fn serve(opts: &ServeOptions) -> std::io::Result<()> {
                     let daemon = &daemon;
                     scope.spawn(move || {
                         let engine = FlowEngine::new(shard.env, FlowConfig::quick(), pool)
-                            .with_telemetry(daemon.telemetry.clone())
-                            .with_fusion_hub(Arc::clone(&shard.fusion));
+                            .with_telemetry(daemon.telemetry.clone());
                         shard.queue.run_worker(&engine);
                     });
                 }
@@ -534,8 +529,6 @@ fn daemon_status(daemon: &Daemon, shards: &[Shard<'_>]) -> DaemonStatus {
                 || m.name.starts_with("campaign.")
                 || m.name.starts_with("objective.cross_group")
                 || m.name.starts_with("pool.")
-                || m.name.starts_with("batch.fused")
-                || m.name.starts_with("batch.fusion")
         })
         .map(|m| GaugeReading {
             name: m.name,

@@ -142,7 +142,7 @@ fn two_tenants_with_different_weights_both_match_their_one_shots() {
 
 /// A crowd of tiny tenants on one unit: every Done payload must match
 /// its one-shot equivalent even when the shard's worker crews interleave
-/// all of them over the shared pool and fusion hub. This is the
+/// all of them over the shared pool. This is the
 /// dispatch-wall shape: many concurrent sub-block tenants, one DUV.
 #[test]
 fn six_tiny_tenants_all_match_their_one_shots() {

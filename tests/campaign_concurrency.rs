@@ -95,3 +95,22 @@ fn coalescing_preserves_the_point_seeded_outcome() {
         "coalescing executed {sims_executed} sims, expected fewer than {sims_logical}"
     );
 }
+
+/// Campaign bytes must not depend on the worker count either: the same
+/// campaign at (threads, jobs) = (1, 1), (2, 2) and (N, 8) is identical.
+#[test]
+fn campaign_outcome_identical_across_thread_counts() {
+    let env = IoEnv::new();
+    let run_at = |threads: usize, jobs: usize| {
+        let mut cfg = FlowConfig::quick();
+        cfg.threads = threads;
+        cfg.campaign_jobs = jobs;
+        let outcome = CdgFlow::new(env.clone(), cfg)
+            .run_campaign(2021)
+            .expect("campaign runs");
+        serde_json::to_string(&outcome).unwrap()
+    };
+    let reference = run_at(1, 1);
+    assert_eq!(run_at(2, 2), reference);
+    assert_eq!(run_at(test_threads().max(2), 8), reference);
+}

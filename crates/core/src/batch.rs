@@ -227,7 +227,9 @@ impl BatchCounters {
 /// out-of-order pairs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CounterSnapshot {
-    /// Repository write-lock acquisitions ([`CoverageRepository::merge_counts`] calls).
+    /// Repository write-lock acquisitions ([`CoverageRepository::merge_counts`]
+    /// calls through [`BatchRunner::record`]): one per template a regression
+    /// records.
     pub repo_merges: u64,
     /// Simulations folded into the repository through those merges.
     pub sims_recorded: u64,
@@ -272,10 +274,11 @@ impl CounterSnapshot {
 /// are byte-identical at every thread count: instance `i` of a run always
 /// uses the seed a [`SeedStream`] derives for it, fixed before dispatch.
 ///
-/// Workers touch no shared state between batch boundaries: coverage
-/// accumulates into worker-local shards and merges into the repository once
-/// per chunk ([`CoverageRepository::merge_counts`]), and hot-path activity
-/// is visible through the runner's shared [`BatchCounters`].
+/// Workers touch no shared state while simulating: coverage accumulates
+/// into a worker-local chunk shard that is folded into its point's total
+/// once the chunk finishes, a repository takes one merge per template
+/// ([`BatchRunner::record`]), and hot-path activity is visible through the
+/// runner's shared [`BatchCounters`].
 ///
 /// # Examples
 ///
@@ -422,7 +425,7 @@ impl<'env> BatchRunner<'env> {
     ) -> Result<BatchStats, FlowError> {
         let rt = ResolvedTemplate::resolve(env, template)?;
         self.counters.note_resolve_miss();
-        self.run_inner(env, &rt, sims, base_seed, None)
+        self.run_resolved(env, &rt, sims, base_seed)
     }
 
     /// Like [`BatchRunner::run`] for a pre-resolved template — the hot-path
@@ -439,45 +442,58 @@ impl<'env> BatchRunner<'env> {
         sims: u64,
         base_seed: u64,
     ) -> Result<BatchStats, FlowError> {
-        self.run_inner(env, template, sims, base_seed, None)
+        let point = (template.share_params(), template.seed_stream(base_seed));
+        let mut stats = self.run_chunked(env, vec![point], sims)?;
+        Ok(stats.pop().expect("one point in, one result out"))
     }
 
-    /// Like [`BatchRunner::run`], additionally recording every simulation
-    /// into a coverage repository under `template_id` — how the regression
-    /// ("Before CDG") phase populates the database TAC queries.
-    ///
-    /// The repository contents are independent of the worker count and
-    /// dispatch order: each worker accumulates its chunk locally and merges
-    /// once ([`CoverageRepository::merge_counts`]), and per-event counting
-    /// is commutative, so the merged state is byte-identical to recording
-    /// every simulation individually.
+    /// Merges one batch into `repo` under `template`: a single lock
+    /// acquisition on the template's stripe
+    /// ([`CoverageRepository::merge_counts`]), counted in the runner's
+    /// [`BatchCounters`]. Per-event counting is commutative, so recording a
+    /// template's whole batch at once leaves the repository byte-identical
+    /// to recording each of its simulations individually.
     ///
     /// # Errors
     ///
-    /// Propagates template validation or stimulus generation failures.
-    pub fn run_recorded<E: VerifEnv>(
+    /// [`FlowError::Coverage`] when `stats` was accumulated against a
+    /// different model width than the repository's.
+    pub fn record(
         &self,
-        env: &'env E,
-        template: &TestTemplate,
-        sims: u64,
-        base_seed: u64,
-        repo: &'env CoverageRepository,
-        template_id: TemplateId,
-    ) -> Result<BatchStats, FlowError> {
-        let rt = ResolvedTemplate::resolve(env, template)?;
-        self.counters.note_resolve_miss();
-        self.run_inner(env, &rt, sims, base_seed, Some((repo, template_id)))
+        repo: &CoverageRepository,
+        template: TemplateId,
+        stats: &BatchStats,
+    ) -> Result<(), FlowError> {
+        if stats.sims == 0 {
+            return Ok(());
+        }
+        let merge_clock = self.telemetry.timed();
+        repo.merge_counts(template, stats.sims, &stats.hits)
+            .map_err(FlowError::Coverage)?;
+        self.counters.add_merge(stats.sims);
+        if let Some(m) = self.telemetry.metrics() {
+            m.counter(&format!(
+                "batch.repo_stripe.{}",
+                CoverageRepository::stripe_of(template)
+            ))
+            .add(1);
+        }
+        if let (Some(t0), Some(stage)) = (merge_clock, self.telemetry.stage_metrics()) {
+            stage.merge_ns.record(t0.elapsed().as_nanos() as u64);
+        }
+        Ok(())
     }
 
     /// Simulates a whole batch of `(template, base_seed)` points —
-    /// `sims_per_point` instances each — and returns one [`BatchStats`]
-    /// per point, in point order.
+    /// `sims_per_point` instances each — as **one** dispatch and returns
+    /// one [`BatchStats`] per point, in point order.
     ///
-    /// This is the stencil-level entry: an optimizer iteration's whole
-    /// stencil is fanned across the pool as one batch, with each point
-    /// simulated serially inside one job. Point `k`'s result is exactly
-    /// what `run(env, &points[k].0, sims_per_point, points[k].1)` would
-    /// produce, at any thread count.
+    /// This is the entry for an optimizer iteration's whole stencil and
+    /// for the regression's whole stock library: every point's chunks go
+    /// to the pool as a single batch, so no dispatch barrier separates the
+    /// points. Point `k`'s result is exactly what
+    /// `run(env, &points[k].0, sims_per_point, points[k].1)` produces, at
+    /// any thread count and chunk size.
     ///
     /// # Errors
     ///
@@ -510,22 +526,46 @@ impl<'env> BatchRunner<'env> {
         points: &[(ResolvedTemplate, u64)],
         sims_per_point: u64,
     ) -> Result<Vec<BatchStats>, FlowError> {
+        let points = points
+            .iter()
+            .map(|(rt, seed)| (rt.share_params(), rt.seed_stream(*seed)))
+            .collect();
+        self.run_chunked(env, points, sims_per_point)
+    }
+
+    /// The one dispatch behind every entry: `sims` instances of every
+    /// point, each point cut into `chunk`-sized ranges and all ranges in
+    /// one pool batch. Workers fold each finished chunk into its point's
+    /// total, so at most one chunk result per worker is alive at a time;
+    /// per-event counting is commutative, so the fold order never shows.
+    ///
+    /// The even-split fallback divides the workers among the points
+    /// (`workers / points`, at least 1), so a batch that already has a
+    /// task per worker keeps each point whole unless the latency estimate
+    /// asks for smaller chunks.
+    fn run_chunked<E: VerifEnv>(
+        &self,
+        env: &'env E,
+        points: Vec<(Arc<ResolvedParams>, SeedStream)>,
+        sims: u64,
+    ) -> Result<Vec<BatchStats>, FlowError> {
         let events = env.coverage_model().len();
+        if sims == 0 || points.is_empty() {
+            return Ok(vec![BatchStats::empty(events); points.len()]);
+        }
+        let work = (sims as usize).saturating_mul(points.len());
+        let workers = self.threads.min(work).max(1);
         let key = autotune_key(env.unit_name(), &self.telemetry);
-        let serial =
-            self.pool.is_none() && (self.threads <= 1 || points.len() <= 1 || sims_per_point == 0);
-        if serial {
+        if workers == 1 && self.pool.is_none() {
             return points
-                .iter()
-                .map(|(rt, seed)| {
+                .into_iter()
+                .map(|(params, stream)| {
                     simulate_range(
                         env,
-                        rt.params(),
-                        rt.seed_stream(*seed),
-                        0..sims_per_point,
+                        &params,
+                        stream,
+                        0..sims,
                         events,
-                        None,
-                        &self.counters,
                         &self.telemetry,
                         &self.tuner,
                         &key,
@@ -533,69 +573,8 @@ impl<'env> BatchRunner<'env> {
                 })
                 .collect();
         }
-        // Tasks own their inputs (pool jobs may not borrow this stack
-        // frame); each carries a shared handle to its point's parameters.
-        let tasks: Vec<(Arc<ResolvedParams>, SeedStream)> = points
-            .iter()
-            .map(|(rt, seed)| (rt.share_params(), rt.seed_stream(*seed)))
-            .collect();
-        let counters = Arc::clone(&self.counters);
-        let telemetry = self.telemetry.clone();
-        let tuner = Arc::clone(&self.tuner);
-        let run_on = move |pool: &SimPool<'env>| {
-            pool.run_ordered(tasks, move |_, (params, stream)| {
-                simulate_range(
-                    env,
-                    &params,
-                    stream,
-                    0..sims_per_point,
-                    events,
-                    None,
-                    &counters,
-                    &telemetry,
-                    &tuner,
-                    &key,
-                )
-            })
-        };
-        match &self.pool {
-            Some(pool) => run_on(pool),
-            None => pool_scope(self.threads, run_on),
-        }
-        .into_iter()
-        .collect()
-    }
-
-    fn run_inner<E: VerifEnv>(
-        &self,
-        env: &'env E,
-        template: &ResolvedTemplate,
-        sims: u64,
-        base_seed: u64,
-        record: Option<(&'env CoverageRepository, TemplateId)>,
-    ) -> Result<BatchStats, FlowError> {
-        let events = env.coverage_model().len();
-        if sims == 0 {
-            return Ok(BatchStats::empty(events));
-        }
-        let stream = template.seed_stream(base_seed);
-        let workers = self.threads.min(sims as usize).max(1);
-        let key = autotune_key(env.unit_name(), &self.telemetry);
-        if workers == 1 && self.pool.is_none() {
-            return simulate_range(
-                env,
-                template.params(),
-                stream,
-                0..sims,
-                events,
-                record,
-                &self.counters,
-                &self.telemetry,
-                &self.tuner,
-                &key,
-            );
-        }
-        let chunk = self.tuner.pick(&key, sims, workers, self.chunk_override);
+        let split = workers.div_ceil(points.len());
+        let chunk = self.tuner.pick(&key, sims, split, self.chunk_override);
         if let Some(m) = self.telemetry.metrics() {
             m.gauge("batch.chunk_autotune.chunk_sims").set(chunk as f64);
             if let Some(ns) = self.tuner.estimate(&key) {
@@ -603,41 +582,43 @@ impl<'env> BatchRunner<'env> {
             }
         }
         // Contiguous `chunk`-sized dispatch chunks (there may be more chunks
-        // than workers), merged in chunk order. Chunks own their inputs
-        // (pool jobs may not borrow this stack frame); the resolved
-        // parameters are shared, not cloned, per chunk.
-        let tasks: Vec<(u64, u64, Arc<ResolvedParams>)> = (0..sims)
-            .step_by(chunk as usize)
-            .map(|lo| (lo, (lo + chunk).min(sims), template.share_params()))
+        // than workers). Chunks own their inputs (pool jobs may not borrow
+        // this stack frame); a point's parameters and running total are
+        // shared, not cloned, per chunk.
+        let totals: Arc<[Mutex<BatchStats>]> = (0..points.len())
+            .map(|_| Mutex::new(BatchStats::empty(events)))
             .collect();
-        let counters = Arc::clone(&self.counters);
+        let tasks: Vec<(usize, Range<u64>, Arc<ResolvedParams>, SeedStream)> = points
+            .iter()
+            .enumerate()
+            .flat_map(|(p, (params, stream))| {
+                (0..sims)
+                    .step_by(chunk as usize)
+                    .map(move |lo| (p, lo..(lo + chunk).min(sims), Arc::clone(params), *stream))
+            })
+            .collect();
         let telemetry = self.telemetry.clone();
         let tuner = Arc::clone(&self.tuner);
+        let sink = Arc::clone(&totals);
         let run_on = move |pool: &SimPool<'env>| {
-            pool.run_ordered(tasks, move |_, (lo, hi, params)| {
-                simulate_range(
-                    env,
-                    &params,
-                    stream,
-                    lo..hi,
-                    events,
-                    record,
-                    &counters,
-                    &telemetry,
-                    &tuner,
-                    &key,
-                )
+            pool.run_ordered(tasks, move |_, (p, range, params, stream)| {
+                let stats = simulate_range(
+                    env, &params, stream, range, events, &telemetry, &tuner, &key,
+                )?;
+                sink[p].lock().merge(&stats);
+                Ok::<(), FlowError>(())
             })
         };
-        let results = match &self.pool {
+        match &self.pool {
             Some(pool) => run_on(pool),
             None => pool_scope(workers, run_on),
-        };
-        let mut total = BatchStats::empty(events);
-        for r in results {
-            total.merge(&r?);
         }
-        Ok(total)
+        .into_iter()
+        .collect::<Result<(), FlowError>>()?;
+        Ok(totals
+            .iter()
+            .map(|total| std::mem::replace(&mut *total.lock(), BatchStats::empty(0)))
+            .collect())
     }
 }
 
@@ -647,9 +628,9 @@ impl<'env> BatchRunner<'env> {
 const KERNEL_BLOCK: u64 = 64;
 
 /// Wall-clock one dispatched chunk should occupy a worker for (~2 ms):
-/// long enough to amortize dispatch overhead and the per-chunk repository
-/// merge, short enough that a template's chunks rebalance across workers
-/// when per-simulation cost varies.
+/// long enough to amortize dispatch overhead, short enough that a
+/// template's chunks rebalance across workers when per-simulation cost
+/// varies.
 const TARGET_CHUNK_NS: f64 = 2_000_000.0;
 
 /// Weight of the newest chunk observation in the latency EWMA.
@@ -768,13 +749,8 @@ thread_local! {
 /// the trait contract. The scratch-pool counters move only when an
 /// environment routes a block through [`VerifEnv::simulate_batch`].
 ///
-/// Coverage accumulates into the chunk-local [`BatchStats`] shard; when
-/// recording, the shard merges into the repository **once** at the end of
-/// the chunk — into the one lock stripe owning the template
-/// ([`CoverageRepository::stripe_of`]) — so lock traffic is O(chunks)
-/// spread over the stripes instead of O(simulations) on one mutex.
-/// Per-event counting is commutative, which makes the merged state
-/// byte-identical to per-simulation recording.
+/// Coverage accumulates into the chunk-local [`BatchStats`] shard the
+/// caller sums; no shared state is touched while simulating.
 ///
 /// Every chunk also feeds its observed per-sim wall-clock back into the
 /// [`ChunkAutotuner`] under `tune_key`, telemetry or not.
@@ -785,8 +761,6 @@ fn simulate_range<E: VerifEnv>(
     stream: SeedStream,
     range: Range<u64>,
     events: usize,
-    record: Option<(&CoverageRepository, TemplateId)>,
-    counters: &BatchCounters,
     telemetry: &Telemetry,
     tuner: &ChunkAutotuner,
     tune_key: &str,
@@ -821,24 +795,6 @@ fn simulate_range<E: VerifEnv>(
         }
         Ok(())
     })?;
-    if let Some((repo, id)) = record {
-        if stats.sims > 0 {
-            let merge_clock = telemetry.timed();
-            repo.merge_counts(id, stats.sims, &stats.hits)
-                .map_err(FlowError::Coverage)?;
-            counters.add_merge(stats.sims);
-            if let Some(m) = telemetry.metrics() {
-                m.counter(&format!(
-                    "batch.repo_stripe.{}",
-                    CoverageRepository::stripe_of(id)
-                ))
-                .add(1);
-            }
-            if let (Some(t0), Some(stage)) = (merge_clock, telemetry.stage_metrics()) {
-                stage.merge_ns.record(t0.elapsed().as_nanos() as u64);
-            }
-        }
-    }
     if stats.sims > 0 {
         tuner.observe(
             tune_key,
@@ -922,21 +878,43 @@ mod tests {
         assert_eq!(serial, pooled);
     }
 
+    /// Three stock templates with distinct seeds: a library-wide
+    /// regression in miniature.
+    fn sweep_points(env: &IoEnv) -> Vec<(TestTemplate, u64)> {
+        [(3usize, 17u64), (7, 18), (11, 19)]
+            .iter()
+            .map(|&(idx, seed)| (env.stock_library().get(idx).unwrap().clone(), seed))
+            .collect()
+    }
+
+    /// Runs `points` (`sims` each) as one `run_many` dispatch on `runner`
+    /// and records point `k` under `TemplateId(k)`, as the regression
+    /// records the library.
+    fn record_sweep<'env>(
+        env: &'env IoEnv,
+        runner: &BatchRunner<'env>,
+        points: &[(TestTemplate, u64)],
+        sims: u64,
+    ) -> (Vec<BatchStats>, ascdg_coverage::RepoSnapshot) {
+        let stats = runner.run_many(env, points, sims).unwrap();
+        let repo = CoverageRepository::new(env.coverage_model().clone());
+        for (k, st) in stats.iter().enumerate() {
+            runner.record(&repo, TemplateId(k as u32), st).unwrap();
+        }
+        (stats, repo.snapshot())
+    }
+
     #[test]
     fn recorded_repository_is_thread_count_independent() {
         let env = IoEnv::new();
-        let t = env.stock_library().get(3).unwrap().clone();
-        let run = |threads: usize| {
-            let repo = CoverageRepository::new(env.coverage_model().clone());
-            let stats = BatchRunner::new(threads)
-                .run_recorded(&env, &t, 96, 17, &repo, TemplateId(3))
-                .unwrap();
-            (stats, repo.snapshot())
-        };
-        let (serial_stats, serial_snapshot) = run(1);
-        let (parallel_stats, parallel_snapshot) = run(test_threads());
-        assert_eq!(serial_stats, parallel_stats);
-        assert_eq!(serial_snapshot, parallel_snapshot);
+        let points = sweep_points(&env);
+        let serial = record_sweep(&env, &BatchRunner::new(1), &points, 96);
+        let parallel = record_sweep(&env, &BatchRunner::new(test_threads()), &points, 96);
+        assert_eq!(serial, parallel);
+        let pooled = pool_scope(test_threads(), |pool| {
+            record_sweep(&env, &BatchRunner::with_pool(pool), &points, 96)
+        });
+        assert_eq!(serial, pooled);
     }
 
     #[test]
@@ -959,56 +937,61 @@ mod tests {
         })
         .unwrap();
         assert_eq!(pooled, expected);
+        // Multi-chunk points (regression-sized) split across the pool.
+        let long: Vec<BatchStats> = points
+            .iter()
+            .map(|(t, seed)| serial.run(&env, t, 150, *seed).unwrap())
+            .collect();
+        let chunked = BatchRunner::new(test_threads().max(2))
+            .with_chunk_size(64)
+            .run_many(&env, &points, 150)
+            .unwrap();
+        assert_eq!(chunked, long);
+        let zero = BatchRunner::new(test_threads())
+            .run_many(&env, &points, 0)
+            .unwrap();
+        assert_eq!(zero, vec![BatchStats::empty(env.coverage_model().len()); 3]);
     }
 
     #[test]
     fn sharded_merge_matches_per_sim_record() {
         let env = IoEnv::new();
-        let t = env.stock_library().get(3).unwrap().clone();
+        let points = sweep_points(&env);
         // Reference: record every simulation individually, the pre-shard
         // protocol.
-        let rt = ResolvedTemplate::resolve(&env, &t).unwrap();
-        let stream = rt.seed_stream(17);
         let reference = CoverageRepository::new(env.coverage_model().clone());
-        for i in 0..96 {
-            let cov = env
-                .simulate_seeded(rt.params(), stream.sampler_seed(i))
-                .unwrap();
-            reference.try_record(TemplateId(3), &cov).unwrap();
+        for (k, (template, seed)) in points.iter().enumerate() {
+            let rt = ResolvedTemplate::resolve(&env, template).unwrap();
+            let stream = rt.seed_stream(*seed);
+            for i in 0..96 {
+                let cov = env
+                    .simulate_seeded(rt.params(), stream.sampler_seed(i))
+                    .unwrap();
+                reference.try_record(TemplateId(k as u32), &cov).unwrap();
+            }
         }
-        // Sharded: chunk-local accumulation, one merge per chunk, at the CI
-        // matrix thread count.
-        let repo = CoverageRepository::new(env.coverage_model().clone());
+        // Sharded: chunk-local accumulation in one library-wide dispatch,
+        // one merge per template, at the CI matrix thread count.
         let runner = BatchRunner::new(test_threads());
-        runner
-            .run_recorded(&env, &t, 96, 17, &repo, TemplateId(3))
-            .unwrap();
-        assert_eq!(repo.snapshot(), reference.snapshot());
+        let (_, snapshot) = record_sweep(&env, &runner, &points, 96);
+        assert_eq!(snapshot, reference.snapshot());
         let counters = runner.counter_snapshot();
-        assert_eq!(counters.sims_recorded, 96);
-        assert!(counters.repo_merges >= 1);
-        // O(chunks), never O(sims): at most one merge per worker with the
-        // default even split, or one per kernel block under the smallest
-        // chunk override the CI `ASCDG_CHUNK_SIZE` sweep pins.
-        let max_chunks = (test_threads() as u64).max(96u64.div_ceil(KERNEL_BLOCK));
-        assert!(counters.repo_merges <= max_chunks);
-        assert_eq!(counters.resolve_misses, 1);
+        assert_eq!(counters.sims_recorded, 3 * 96);
+        // O(templates), never O(chunks) or O(sims), at any chunk size.
+        assert_eq!(counters.repo_merges, 3);
+        assert_eq!(counters.resolve_misses, 3);
     }
 
     #[test]
     fn outcomes_are_chunk_size_independent() {
         let env = IoEnv::new();
-        let t = env.stock_library().get(3).unwrap().clone();
+        let points = sweep_points(&env);
         let run = |threads: usize, chunk: Option<u64>| {
-            let repo = CoverageRepository::new(env.coverage_model().clone());
             let mut runner = BatchRunner::new(threads);
             if let Some(c) = chunk {
                 runner = runner.with_chunk_size(c);
             }
-            let stats = runner
-                .run_recorded(&env, &t, 150, 23, &repo, TemplateId(3))
-                .unwrap();
-            (stats, repo.snapshot())
+            record_sweep(&env, &runner, &points, 150)
         };
         let reference = run(1, None);
         // Tiny, kernel-block, multi-block and bigger-than-the-batch chunks
@@ -1194,22 +1177,18 @@ mod tests {
     }
 
     #[test]
-    fn recording_error_surfaces_from_workers() {
+    fn recording_into_a_foreign_model_is_rejected() {
         let env = IoEnv::new();
         let t = env.stock_library().get(0).unwrap().clone();
-        // A repository over the wrong model rejects the vectors.
+        let runner = BatchRunner::new(test_threads().max(2));
+        let stats = runner.run_many(&env, &[(t, 1)], 16).unwrap();
+        // A repository over the wrong model rejects the batch.
         let repo =
             CoverageRepository::new(CoverageModel::from_names("tiny", ["only_one"]).unwrap());
         assert!(matches!(
-            BatchRunner::new(test_threads().max(2)).run_recorded(
-                &env,
-                &t,
-                16,
-                1,
-                &repo,
-                TemplateId(0)
-            ),
+            runner.record(&repo, TemplateId(0), &stats[0]),
             Err(FlowError::Coverage(_))
         ));
+        assert_eq!(runner.counter_snapshot().repo_merges, 0);
     }
 }

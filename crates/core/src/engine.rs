@@ -18,7 +18,7 @@ use ascdg_telemetry::Telemetry;
 use crate::events::FlowEvent;
 use crate::pool::SimPool;
 use crate::session::{SessionCx, SessionState, StageSims, TargetSpec};
-use crate::stages::{default_stages, Stage};
+use crate::stages::{default_stages, regression_repository, Stage};
 use crate::{
     ApproxTarget, BatchRunner, FlowConfig, FlowError, FlowOutcome, PhaseStats, SharedEvalCache,
     PHASE_BEFORE,
@@ -130,6 +130,20 @@ impl<'env, E: VerifEnv> FlowEngine<'env, E> {
             self.telemetry.clone(),
             self.eval_cache.clone(),
         )
+    }
+
+    /// Runs the regression phase on the engine's pool: the whole stock
+    /// library simulated into a fresh repository, byte-identical to
+    /// [`CdgFlow::run_regression`](crate::CdgFlow::run_regression) with
+    /// the same seed and `regression_sims_per_template`, at any pool size.
+    ///
+    /// # Errors
+    ///
+    /// [`FlowError::EmptyLibrary`] when there is nothing to run, or any
+    /// batch error.
+    pub fn run_regression(&self, seed: u64) -> Result<CoverageRepository, FlowError> {
+        let sims_per_template = self.config.regression_sims_per_template;
+        regression_repository(self.env, &self.runner(), sims_per_template, seed)
     }
 
     /// A batch runner on the engine's pool, sharing its telemetry handle.

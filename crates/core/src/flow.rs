@@ -15,7 +15,7 @@ use crate::objective::EvalStrategy;
 use crate::pool::{pool_scope, SimPool};
 use crate::session::TargetSpec;
 use crate::stages::regression_repository;
-use crate::{ApproxTarget, FlowError};
+use crate::{ApproxTarget, BatchRunner, FlowError};
 
 /// Name of the regression ("Before CDG") phase.
 pub const PHASE_BEFORE: &str = "Before CDG";
@@ -486,12 +486,12 @@ impl<E: VerifEnv> CdgFlow<E> {
         &self,
         seed: u64,
     ) -> Result<(CoverageRepository, crate::CounterSnapshot), FlowError> {
-        regression_repository(
-            &self.env,
-            &self.config,
-            seed,
-            &ascdg_telemetry::Telemetry::disabled(),
-        )
+        pool_scope(self.config.threads, |pool| {
+            let runner = BatchRunner::with_pool(pool);
+            let sims_per_template = self.config.regression_sims_per_template;
+            let repo = regression_repository(&self.env, &runner, sims_per_template, seed)?;
+            Ok((repo, runner.counter_snapshot()))
+        })
     }
 
     /// Runs a full engine session (all stages, including regression) on a

@@ -16,16 +16,14 @@ use ascdg_duv::VerifEnv;
 use ascdg_opt::{Bounds, IfOptions, ImplicitFiltering, Optimizer};
 use ascdg_stimgen::mix_seed;
 use ascdg_tac::{relevant_params, TacQuery};
-use ascdg_telemetry::Telemetry;
 use ascdg_template::Skeleton;
 
 use crate::events::FlowEvent;
-use crate::pool::pool_scope_with;
 use crate::sampling::random_sample;
 use crate::session::{SessionCx, TargetSpec};
 use crate::{
-    ApproxTarget, BatchRunner, CdgObjective, FlowConfig, FlowError, PhaseStats, PhaseTiming,
-    Skeletonizer, PHASE_BEST, PHASE_OPTIMIZATION, PHASE_REFINEMENT, PHASE_SAMPLING,
+    ApproxTarget, BatchRunner, CdgObjective, FlowError, PhaseStats, PhaseTiming, Skeletonizer,
+    PHASE_BEST, PHASE_OPTIMIZATION, PHASE_REFINEMENT, PHASE_SAMPLING,
 };
 
 /// Name of the [`Regression`] stage.
@@ -125,42 +123,40 @@ fn approx_of<E: VerifEnv>(
 }
 
 /// Simulates the whole stock library into a fresh coverage repository —
-/// the "Before CDG" state the coarse search mines.
-///
-/// Runs on its own interior pool scope because recording into the
-/// repository borrows it for the workers' lifetime; sessions seeded with a
+/// the "Before CDG" state the coarse search mines. Sessions seeded with a
 /// pre-built repository skip this stage entirely.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Regression;
 
 /// Shared regression body (also behind
+/// [`FlowEngine::run_regression`](crate::FlowEngine::run_regression) and
 /// [`CdgFlow::run_regression`](crate::CdgFlow::run_regression)).
-pub(crate) fn regression_repository<E: VerifEnv>(
-    env: &E,
-    config: &FlowConfig,
+///
+/// The library runs as one `run_many` dispatch on `runner`'s pool — every template's
+/// chunks in a single dispatch, template `idx` seeded `mix_seed(seed, idx)`
+/// — and each template's summed coverage is recorded once, in library
+/// order, after the dispatch returns. The repository is a deterministic
+/// function of `(env, sims_per_template, seed)`.
+pub(crate) fn regression_repository<'env, E: VerifEnv>(
+    env: &'env E,
+    runner: &BatchRunner<'env>,
+    sims_per_template: u64,
     seed: u64,
-    telemetry: &Telemetry,
-) -> Result<(CoverageRepository, crate::CounterSnapshot), FlowError> {
+) -> Result<CoverageRepository, FlowError> {
     let lib = env.stock_library();
     if lib.is_empty() {
         return Err(FlowError::EmptyLibrary);
     }
+    let points: Vec<_> = lib
+        .iter()
+        .map(|(idx, template)| (template.clone(), mix_seed(seed, idx as u64)))
+        .collect();
+    let stats = runner.run_many(env, &points, sims_per_template)?;
     let repo = CoverageRepository::new(env.coverage_model().clone());
-    let counters = pool_scope_with(config.threads, telemetry, |pool| {
-        let runner = BatchRunner::with_pool(pool).with_telemetry(telemetry.clone());
-        for (idx, template) in lib.iter() {
-            runner.run_recorded(
-                env,
-                template,
-                config.regression_sims_per_template,
-                mix_seed(seed, idx as u64),
-                &repo,
-                TemplateId(idx as u32),
-            )?;
-        }
-        Ok::<_, FlowError>(runner.counter_snapshot())
-    })?;
-    Ok((repo, counters))
+    for ((idx, _), template_stats) in lib.iter().zip(&stats) {
+        runner.record(&repo, TemplateId(idx as u32), template_stats)?;
+    }
+    Ok(repo)
 }
 
 impl<E: VerifEnv> Stage<E> for Regression {
@@ -170,7 +166,8 @@ impl<E: VerifEnv> Stage<E> for Regression {
 
     fn run(&self, cx: &mut SessionCx<'_, '_, E>) -> Result<StageOutput, FlowError> {
         let seed = cx.stage_seed(0xbef0);
-        let (repo, _counters) = regression_repository(cx.env(), cx.config(), seed, cx.telemetry())?;
+        let sims_per_template = cx.config().regression_sims_per_template;
+        let repo = regression_repository(cx.env(), &cx.runner(), sims_per_template, seed)?;
         let sims = repo.total_simulations();
         cx.set_repo(repo);
         Ok(StageOutput::simulated(sims))

@@ -10,6 +10,10 @@
 //! deficit round-robin, all funneling their simulation batches into the
 //! shared pool.
 //!
+//! A request's regression is computed once per daemon: the daemon's
+//! regression cache keeps every regression snapshot by its key, and a
+//! miss runs the regression on the shared pool, not on a private crew.
+//!
 //! Determinism carries over unchanged: every seed is salted before
 //! admission and the fold is [`fold_campaign`], so a request's outcome is
 //! byte-identical to the equivalent one-shot campaign — no matter what
@@ -30,9 +34,9 @@ use std::time::Duration;
 
 use ascdg_core::{
     fold_campaign, group_uncovered, pool_scope_with, AdmissionQueue, AdmitSpec, ApproxTarget,
-    CampaignOutcome, CampaignProgress, CampaignReport, CancelToken, CdgFlow, CheckpointWriter,
-    FlowConfig, FlowEngine, FlowError, GroupProgress, GroupRun, RunManifest, SessionState,
-    SharedEvalCache, SimPool, Telemetry,
+    CampaignOutcome, CampaignProgress, CampaignReport, CancelToken, CheckpointWriter, FlowConfig,
+    FlowEngine, FlowError, GroupProgress, GroupRun, RunManifest, SessionState, SharedEvalCache,
+    SimPool, Telemetry,
 };
 use ascdg_coverage::{CoverageRepository, EventId, StatusCounts, StatusPolicy};
 use ascdg_duv::ifu::IfuEnv;
@@ -45,6 +49,7 @@ use ascdg_template::TemplateLibrary;
 
 use ascdg_telemetry::{MetricKind, SnapshotRing};
 
+use crate::cache::{RegressionCache, RegressionKey, REGRESSION_CACHE_BYTES};
 use crate::http::{ClassDepth, DaemonStatus, GaugeReading, HttpPlane, RatesReport, UnitStatus};
 use crate::protocol::{
     violation_code, write_line, ErrorCode, Request, RequestStatus, Response, SubmitSpec,
@@ -160,6 +165,7 @@ struct Daemon {
     next_id: AtomicU64,
     shutdown: AtomicBool,
     registry: Mutex<Vec<RequestEntry>>,
+    regressions: RegressionCache,
 }
 
 impl Daemon {
@@ -249,6 +255,7 @@ pub fn serve(opts: &ServeOptions) -> std::io::Result<()> {
         next_id: AtomicU64::new(next_request_id(&opts.state_dir)),
         shutdown: AtomicBool::new(false),
         registry: Mutex::new(Vec::new()),
+        regressions: RegressionCache::new(REGRESSION_CACHE_BYTES, opts.telemetry.clone()),
     };
     let orphans = scan_orphans(&opts.state_dir);
 
@@ -571,15 +578,25 @@ struct Plan {
 }
 
 /// Plans a fresh request exactly like `run_campaign_inner`: regression,
-/// grouping, per-group sessions with index-salted seeds.
+/// grouping, per-group sessions with index-salted seeds. The regression
+/// comes from the daemon's cache; a miss computes it on the shared pool.
 fn plan_fresh<'env>(
+    daemon: &Daemon,
     shard: &Shard<'env>,
     pool: &SimPool<'env>,
     config: &FlowConfig,
     seed: u64,
 ) -> Result<Plan, FlowError> {
-    let flow = CdgFlow::new(shard.env, config.clone());
-    let repo = flow.run_regression(mix_seed(seed, 0xca3))?;
+    let key = RegressionKey {
+        unit: shard.unit_name().to_owned(),
+        sims_per_template: config.regression_sims_per_template,
+        seed: mix_seed(seed, 0xca3),
+    };
+    let snapshot = daemon.regressions.get_or_compute(&key, || {
+        let engine = FlowEngine::new(shard.env, config.clone(), pool);
+        Ok(engine.run_regression(key.seed)?.snapshot())
+    })?;
+    let repo = CoverageRepository::from_snapshot(shard.env.coverage_model().clone(), &snapshot)?;
     let before = repo.status_counts(StatusPolicy::default());
     let groups = group_uncovered(shard.env.coverage_model(), &repo);
     let mut plan = Plan {
@@ -697,7 +714,7 @@ fn submit_request<'env>(
     if let Ok(json) = serde_json::to_string(&spec) {
         let _ = std::fs::write(daemon.request_path(id), json);
     }
-    match plan_fresh(shard, pool, &config, spec.seed) {
+    match plan_fresh(daemon, shard, pool, &config, spec.seed) {
         Ok(plan) => run_plan(daemon, shards, shard_idx, id, &spec, plan, out),
         Err(e) => send(
             out,

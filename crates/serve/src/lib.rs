@@ -25,6 +25,7 @@
 #![warn(missing_docs)]
 #![deny(clippy::redundant_clone, clippy::large_enum_variant, clippy::perf)]
 
+mod cache;
 pub mod client;
 pub mod daemon;
 pub mod http;

@@ -3,7 +3,7 @@
 //! protocol's status/cancel paths must behave.
 
 use std::path::PathBuf;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 
 use ascdg_core::{CampaignProgress, CdgFlow, FlowConfig, Telemetry};
@@ -31,11 +31,19 @@ fn tmp_dir(tag: &str) -> PathBuf {
 /// Starts a daemon on a free port in a background thread; returns its
 /// address and a handle that joins on drop.
 fn start_daemon(state_dir: &std::path::Path) -> (String, std::thread::JoinHandle<()>) {
+    start_daemon_with(state_dir, Telemetry::enabled())
+}
+
+/// [`start_daemon`] recording into the caller's telemetry handle.
+fn start_daemon_with(
+    state_dir: &std::path::Path,
+    telemetry: Telemetry,
+) -> (String, std::thread::JoinHandle<()>) {
     let opts = ServeOptions {
         addr: "127.0.0.1:0".to_owned(),
         state_dir: state_dir.to_path_buf(),
         threads: test_threads(),
-        telemetry: Telemetry::enabled(),
+        telemetry,
         http_addr: None,
         sample_interval_ms: 0,
     };
@@ -135,6 +143,52 @@ fn two_tenants_with_different_weights_both_match_their_one_shots() {
     let statuses = client.status().expect("status answers");
     assert_eq!(statuses.len(), 2);
     assert!(statuses.iter().all(|s| s.done));
+    client.shutdown().expect("daemon drains");
+    handle.join().expect("daemon exits");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two connections submit the same key at once. The daemon computes its
+/// regression once — one cache miss and one hit, whichever request gets
+/// there first — and both outcomes are byte-identical to the one-shot
+/// campaign.
+#[test]
+fn concurrent_submits_of_one_key_share_one_regression() {
+    let dir = tmp_dir("single-flight");
+    let telemetry = Telemetry::enabled();
+    let (addr, handle) = start_daemon_with(&dir, telemetry.clone());
+    let barrier = Arc::new(Barrier::new(2));
+    let submit = || {
+        let addr = addr.clone();
+        let barrier = Arc::clone(&barrier);
+        std::thread::spawn(move || {
+            let mut client = Client::connect(&addr).expect("connects");
+            barrier.wait();
+            client
+                .submit(
+                    SubmitSpec {
+                        unit: "io".to_owned(),
+                        scale: 1.0,
+                        seed: 2021,
+                        profile: "quick".to_owned(),
+                        weight: 1,
+                        class: String::new(),
+                    },
+                    |_| {},
+                )
+                .expect("request completes")
+                .1
+        })
+    };
+    let (first, second) = (submit(), submit());
+    let reference = one_shot_outcome_json(1.0, 2021);
+    assert_eq!(first.join().unwrap(), reference);
+    assert_eq!(second.join().unwrap(), reference);
+    let metrics = telemetry.metrics().expect("telemetry is on");
+    assert_eq!(metrics.counter("serve.regression_cache.misses").value(), 1);
+    assert_eq!(metrics.counter("serve.regression_cache.hits").value(), 1);
+    assert_eq!(metrics.gauge("serve.regression_cache.entries").value(), 1.0);
+    let mut client = Client::connect(&addr).expect("connects");
     client.shutdown().expect("daemon drains");
     handle.join().expect("daemon exits");
     let _ = std::fs::remove_dir_all(&dir);

@@ -74,6 +74,8 @@ http_get /healthz | grep -q '^ok' || { echo "/healthz did not answer ok"; exit 1
 http_get /metrics >"$WORK/metrics.txt"
 grep -q '^ascdg_serve_requests_total 2$' "$WORK/metrics.txt" \
   || { echo "/metrics missing the request counter"; cat "$WORK/metrics.txt"; exit 1; }
+grep -q '^ascdg_serve_regression_cache_misses 2$' "$WORK/metrics.txt" \
+  || { echo "/metrics missing the regression cache counter"; cat "$WORK/metrics.txt"; exit 1; }
 grep -q '^# TYPE ascdg_up gauge$' "$WORK/metrics.txt" \
   || { echo "/metrics is not Prometheus text exposition"; exit 1; }
 "$ASCDG" top --state-dir "$WORK/stateA" --once >"$WORK/top.txt"

@@ -71,7 +71,7 @@ pub struct ParallelBenchReport {
     /// repository contents.
     pub repo_identical: bool,
     /// Hot-path counters of the 1-thread regression: `repo_merges` is the
-    /// number of repository-lock acquisitions (one per template) that recorded
+    /// number of repository merges (one per template) that recorded
     /// `sims_recorded` simulations (the sharded-accumulation win).
     #[serde(default)]
     pub regression_serial: CounterSnapshot,

@@ -176,8 +176,8 @@ impl ResolvedTemplate {
     }
 }
 
-/// Shared hot-path counters: how often the repository lock was taken, how
-/// many simulations flowed through it, and how the resolve cache behaved.
+/// Shared hot-path counters: how many repository merges ran, how many
+/// simulations flowed through them, and how the resolve cache behaved.
 ///
 /// Counters are monotonic across a runner's lifetime (clones of a
 /// [`BatchRunner`] share one set); phases report deltas between
@@ -227,8 +227,8 @@ impl BatchCounters {
 /// out-of-order pairs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CounterSnapshot {
-    /// Repository write-lock acquisitions ([`CoverageRepository::merge_counts`]
-    /// calls through [`BatchRunner::record`]): one per template a regression
+    /// Repository merges ([`CoverageRepository::merge_counts`] calls
+    /// through [`BatchRunner::record`]): one per template a regression
     /// records.
     pub repo_merges: u64,
     /// Simulations folded into the repository through those merges.
@@ -447,9 +447,8 @@ impl<'env> BatchRunner<'env> {
         Ok(stats.pop().expect("one point in, one result out"))
     }
 
-    /// Merges one batch into `repo` under `template`: a single lock
-    /// acquisition on the template's stripe
-    /// ([`CoverageRepository::merge_counts`]), counted in the runner's
+    /// Merges one batch into `repo` under `template`: a single
+    /// [`CoverageRepository::merge_counts`], counted in the runner's
     /// [`BatchCounters`]. Per-event counting is commutative, so recording a
     /// template's whole batch at once leaves the repository byte-identical
     /// to recording each of its simulations individually.
@@ -460,7 +459,7 @@ impl<'env> BatchRunner<'env> {
     /// different model width than the repository's.
     pub fn record(
         &self,
-        repo: &CoverageRepository,
+        repo: &mut CoverageRepository,
         template: TemplateId,
         stats: &BatchStats,
     ) -> Result<(), FlowError> {
@@ -471,13 +470,6 @@ impl<'env> BatchRunner<'env> {
         repo.merge_counts(template, stats.sims, &stats.hits)
             .map_err(FlowError::Coverage)?;
         self.counters.add_merge(stats.sims);
-        if let Some(m) = self.telemetry.metrics() {
-            m.counter(&format!(
-                "batch.repo_stripe.{}",
-                CoverageRepository::stripe_of(template)
-            ))
-            .add(1);
-        }
         if let (Some(t0), Some(stage)) = (merge_clock, self.telemetry.stage_metrics()) {
             stage.merge_ns.record(t0.elapsed().as_nanos() as u64);
         }
@@ -897,9 +889,9 @@ mod tests {
         sims: u64,
     ) -> (Vec<BatchStats>, ascdg_coverage::RepoSnapshot) {
         let stats = runner.run_many(env, points, sims).unwrap();
-        let repo = CoverageRepository::new(env.coverage_model().clone());
+        let mut repo = CoverageRepository::new(env.coverage_model().clone());
         for (k, st) in stats.iter().enumerate() {
-            runner.record(&repo, TemplateId(k as u32), st).unwrap();
+            runner.record(&mut repo, TemplateId(k as u32), st).unwrap();
         }
         (stats, repo.snapshot())
     }
@@ -959,7 +951,7 @@ mod tests {
         let points = sweep_points(&env);
         // Reference: record every simulation individually, the pre-shard
         // protocol.
-        let reference = CoverageRepository::new(env.coverage_model().clone());
+        let mut reference = CoverageRepository::new(env.coverage_model().clone());
         for (k, (template, seed)) in points.iter().enumerate() {
             let rt = ResolvedTemplate::resolve(&env, template).unwrap();
             let stream = rt.seed_stream(*seed);
@@ -1183,10 +1175,10 @@ mod tests {
         let runner = BatchRunner::new(test_threads().max(2));
         let stats = runner.run_many(&env, &[(t, 1)], 16).unwrap();
         // A repository over the wrong model rejects the batch.
-        let repo =
+        let mut repo =
             CoverageRepository::new(CoverageModel::from_names("tiny", ["only_one"]).unwrap());
         assert!(matches!(
-            runner.record(&repo, TemplateId(0), &stats[0]),
+            runner.record(&mut repo, TemplateId(0), &stats[0]),
             Err(FlowError::Coverage(_))
         ));
         assert_eq!(runner.counter_snapshot().repo_merges, 0);

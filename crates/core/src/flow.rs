@@ -10,9 +10,8 @@ use ascdg_opt::Trace;
 use ascdg_template::{Skeleton, TestTemplate};
 
 use crate::engine::FlowEngine;
-use crate::events::ObserverBridge;
 use crate::objective::EvalStrategy;
-use crate::pool::{pool_scope, SimPool};
+use crate::pool::pool_scope;
 use crate::session::TargetSpec;
 use crate::stages::regression_repository;
 use crate::{ApproxTarget, BatchRunner, FlowError};
@@ -277,7 +276,7 @@ pub struct PhaseTiming {
     /// when one is recording.
     #[serde(default)]
     pub sims_per_sec: Option<f64>,
-    /// Repository write-lock acquisitions during the phase (bulk merges).
+    /// Repository merges during the phase (one per recorded batch).
     #[serde(default)]
     pub repo_merges: u64,
     /// Simulations folded into the repository through those merges.
@@ -321,30 +320,6 @@ impl PhaseTiming {
         self
     }
 }
-
-/// Progress notifications emitted at flow milestones.
-///
-/// Long runs (the paper-scale budgets simulate millions of instances) are
-/// otherwise silent; pass an observer to
-/// [`CdgFlow::run_phases_observed`] to stream progress to a UI or log.
-/// All methods have empty defaults, so implementors override only what
-/// they need.
-pub trait FlowObserver {
-    /// The coarse-grained search chose a template.
-    fn on_coarse_choice(&mut self, _template: &str, _relevant_params: &[String]) {}
-
-    /// A phase is about to run (`PHASE_*` name and its simulation budget).
-    fn on_phase_start(&mut self, _phase: &str, _planned_sims: u64) {}
-
-    /// A phase finished, with its accumulated statistics.
-    fn on_phase_done(&mut self, _stats: &PhaseStats) {}
-}
-
-/// The default no-op observer.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopObserver;
-
-impl FlowObserver for NoopObserver {}
 
 /// Everything one AS-CDG run produces.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -476,8 +451,8 @@ impl<E: VerifEnv> CdgFlow<E> {
 
     /// Like [`CdgFlow::run_regression`], additionally returning the batch
     /// runner's hot-path counters for the regression (repository merges,
-    /// simulations recorded) — what benchmarks report to show the lock is
-    /// taken O(chunks), not O(simulations).
+    /// simulations recorded) — what benchmarks report to show the
+    /// repository is merged O(templates), not O(simulations).
     ///
     /// # Errors
     ///
@@ -537,7 +512,10 @@ impl<E: VerifEnv> CdgFlow<E> {
 
     /// Full flow against explicit target events, using a pre-built
     /// regression repository (advanced entry point; the convenience
-    /// wrappers build the repository themselves).
+    /// wrappers build the repository themselves). The approximated target
+    /// is the automatic one (Section IV-A); for a custom [`ApproxTarget`]
+    /// or progress events, open a session with
+    /// [`FlowEngine::session_with_repo`] instead.
     ///
     /// # Errors
     ///
@@ -548,76 +526,23 @@ impl<E: VerifEnv> CdgFlow<E> {
         targets: &[EventId],
         seed: u64,
     ) -> Result<FlowOutcome, FlowError> {
-        // Section IV-A: the approximated target (automatic strategy).
         let approx = ApproxTarget::auto(
             self.env.coverage_model(),
             targets,
             self.config.neighbor_decay,
         )?;
-        self.run_phases_with_target(repo, approx, seed)
-    }
-
-    /// Like [`CdgFlow::run_phases`], but with a caller-supplied
-    /// approximated target — use this to plug in another neighbor
-    /// strategy, e.g. [`ApproxTarget::from_correlation`] (FRIENDS-style
-    /// signed neighbors) or hand-tuned weights.
-    ///
-    /// # Errors
-    ///
-    /// Any phase error; see the individual phases.
-    pub fn run_phases_with_target(
-        &self,
-        repo: &CoverageRepository,
-        approx: ApproxTarget,
-        seed: u64,
-    ) -> Result<FlowOutcome, FlowError> {
-        self.run_phases_observed(repo, approx, seed, &mut NoopObserver)
-    }
-
-    /// Like [`CdgFlow::run_phases_with_target`], streaming progress to the
-    /// given observer.
-    ///
-    /// # Errors
-    ///
-    /// Any phase error; see the individual phases.
-    pub fn run_phases_observed(
-        &self,
-        repo: &CoverageRepository,
-        approx: ApproxTarget,
-        seed: u64,
-        observer: &mut dyn FlowObserver,
-    ) -> Result<FlowOutcome, FlowError> {
         pool_scope(self.config.threads, |pool| {
-            self.run_phases_on(pool, repo, approx, seed, observer)
+            let engine = FlowEngine::new(&self.env, self.config.clone(), pool);
+            let mut cx = engine.session_with_repo(repo, approx, seed)?;
+            engine.run(&mut cx)
         })
-    }
-
-    /// Like [`CdgFlow::run_phases_observed`], but running every simulation
-    /// phase on a caller-provided persistent worker pool — the entry point
-    /// for callers that amortize one pool across many runs (the campaign
-    /// sweep, benches).
-    ///
-    /// # Errors
-    ///
-    /// Any phase error; see the individual phases.
-    pub fn run_phases_on<'env>(
-        &'env self,
-        pool: &SimPool<'env>,
-        repo: &CoverageRepository,
-        approx: ApproxTarget,
-        seed: u64,
-        observer: &mut dyn FlowObserver,
-    ) -> Result<FlowOutcome, FlowError> {
-        let engine = FlowEngine::new(&self.env, self.config.clone(), pool);
-        let mut cx = engine.session_with_repo(repo, approx, seed)?;
-        cx.subscribe(ObserverBridge::new(observer));
-        engine.run(&mut cx)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{EventLog, FlowEvent};
     use ascdg_duv::io_unit::IoEnv;
     use ascdg_duv::l3cache::L3Env;
 
@@ -709,40 +634,39 @@ mod tests {
     }
     #[test]
     fn observer_sees_all_milestones() {
-        #[derive(Default)]
-        struct Recorder {
-            choices: Vec<String>,
-            started: Vec<String>,
-            finished: Vec<String>,
-        }
-        impl FlowObserver for Recorder {
-            fn on_coarse_choice(&mut self, template: &str, _relevant: &[String]) {
-                self.choices.push(template.to_owned());
-            }
-            fn on_phase_start(&mut self, phase: &str, planned: u64) {
-                assert!(planned > 0);
-                self.started.push(phase.to_owned());
-            }
-            fn on_phase_done(&mut self, stats: &PhaseStats) {
-                self.finished.push(stats.name.clone());
-            }
-        }
-
         let flow = CdgFlow::new(IoEnv::new(), FlowConfig::quick());
         let repo = flow.run_regression(1).unwrap();
         let targets = repo.uncovered_events();
         let approx = ApproxTarget::auto(flow.env().coverage_model(), &targets, 0.5).unwrap();
-        let mut rec = Recorder::default();
-        let out = flow
-            .run_phases_observed(&repo, approx, 2, &mut rec)
-            .unwrap();
-        assert_eq!(rec.choices, vec![out.chosen_template]);
+        let mut log = EventLog::new();
+        let out = pool_scope(flow.config().threads, |pool| {
+            let engine = FlowEngine::new(flow.env(), flow.config().clone(), pool);
+            let mut cx = engine.session_with_repo(&repo, approx, 2).unwrap();
+            cx.subscribe(&mut log);
+            engine.run(&mut cx).unwrap()
+        });
+        let (mut choices, mut started, mut finished) = (vec![], vec![], vec![]);
+        for event in log.events() {
+            match event {
+                FlowEvent::CoarseChoice { template, .. } => choices.push(template.clone()),
+                FlowEvent::PhaseStarted {
+                    phase,
+                    planned_sims,
+                } => {
+                    assert!(*planned_sims > 0);
+                    started.push(phase.as_str());
+                }
+                FlowEvent::PhaseFinished { stats } => finished.push(stats.name.as_str()),
+                _ => {}
+            }
+        }
+        assert_eq!(choices, vec![out.chosen_template]);
         assert_eq!(
-            rec.started,
+            started,
             vec![PHASE_SAMPLING, PHASE_OPTIMIZATION, PHASE_BEST]
         );
         assert_eq!(
-            rec.finished,
+            finished,
             vec![PHASE_SAMPLING, PHASE_OPTIMIZATION, PHASE_BEST]
         );
     }

@@ -439,8 +439,8 @@ mod tests {
         // Family f1..f3; event "helper" co-occurs with the family, event
         // "anti" hits exactly when the family does not.
         let model = CoverageModel::from_names("u", ["f1", "f2", "f3", "helper", "anti"]).unwrap();
-        let repo = CoverageRepository::new(model.clone());
-        let record = |t: u32, names: &[&str], times: usize| {
+        let mut repo = CoverageRepository::new(model.clone());
+        let mut record = |t: u32, names: &[&str], times: usize| {
             for _ in 0..times {
                 let mut v = CoverageVector::empty(model.len());
                 for n in names {
@@ -482,7 +482,7 @@ mod tests {
     fn correlation_discovery_falls_back_with_few_templates() {
         use ascdg_coverage::{CoverageRepository, CoverageVector, TemplateId};
         let model = CoverageModel::from_names("u", ["f1", "f2"]).unwrap();
-        let repo = CoverageRepository::new(model.clone());
+        let mut repo = CoverageRepository::new(model.clone());
         repo.record(TemplateId(0), &CoverageVector::empty(2));
         let target = model.id("f2").unwrap();
         let at = ApproxTarget::from_correlation(&repo, &[target], 0.3, 0.5).unwrap();

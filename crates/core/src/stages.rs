@@ -152,9 +152,9 @@ pub(crate) fn regression_repository<'env, E: VerifEnv>(
         .map(|(idx, template)| (template.clone(), mix_seed(seed, idx as u64)))
         .collect();
     let stats = runner.run_many(env, &points, sims_per_template)?;
-    let repo = CoverageRepository::new(env.coverage_model().clone());
+    let mut repo = CoverageRepository::new(env.coverage_model().clone());
     for ((idx, _), template_stats) in lib.iter().zip(&stats) {
-        runner.record(&repo, TemplateId(idx as u32), template_stats)?;
+        runner.record(&mut repo, TemplateId(idx as u32), template_stats)?;
     }
     Ok(repo)
 }

@@ -21,7 +21,7 @@
 //! use ascdg_coverage::{CoverageModel, CoverageRepository, CoverageVector, TemplateId};
 //!
 //! let model = CoverageModel::from_names("demo", ["ev_a", "ev_b"]).unwrap();
-//! let repo = CoverageRepository::new(model.clone());
+//! let mut repo = CoverageRepository::new(model.clone());
 //!
 //! let mut vec = CoverageVector::empty(model.len());
 //! vec.set(model.id("ev_a").unwrap());
@@ -51,6 +51,6 @@ pub use event::{EventId, TemplateId};
 pub use family::{family_index, family_of, EventFamily};
 pub use model::CoverageModel;
 pub use plane::{CoveragePlane, CoverageSink, PlaneLane, PLANE_LANES};
-pub use repo::{CoverageRepository, HitStats, RepoSnapshot, STRIPE_COUNT};
+pub use repo::{CoverageRepository, HitStats, RepoSnapshot};
 pub use status::{EventStatus, StatusCounts, StatusPolicy};
 pub use vector::{CoverageVector, HitIter};

@@ -466,7 +466,7 @@ mod tests {
     #[test]
     fn status_counts_shape_before_cdg() {
         let env = env();
-        let repo = CoverageRepository::new(env.coverage_model().clone());
+        let mut repo = CoverageRepository::new(env.coverage_model().clone());
         for (idx, t) in env.stock_library().iter() {
             let resolved = env.registry().resolve(t).unwrap();
             for s in 0..60 {

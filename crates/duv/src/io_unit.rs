@@ -738,7 +738,7 @@ mod tests {
         // uncovered while covering the shallow ones — the paper's
         // "Before CDG" column shape.
         let env = env();
-        let repo = CoverageRepository::new(env.coverage_model().clone());
+        let mut repo = CoverageRepository::new(env.coverage_model().clone());
         for (idx, t) in env.stock_library().iter() {
             let resolved = env.registry().resolve(t).unwrap();
             for s in 0..120 {

@@ -864,7 +864,7 @@ mod tests {
     #[test]
     fn hits_and_misses_both_occur() {
         let env = env();
-        let repo = CoverageRepository::new(env.coverage_model().clone());
+        let mut repo = CoverageRepository::new(env.coverage_model().clone());
         let t = env
             .stock_library()
             .by_name("l3_medium_ws")

@@ -98,8 +98,8 @@ pub struct RatesReport {
     pub ring_capacity: usize,
     /// Per-series rates between the two newest samples: counters by
     /// name, histograms as `<name>.count` (sims/s is
-    /// `batch.sims_recorded`, per-stripe merges/s are
-    /// `batch.repo_stripe.<i>`, coalesced/s is `objective.coalesced`,
+    /// `batch.sims_recorded`, repository merges/s is
+    /// `batch.repo_merges`, coalesced/s is `objective.coalesced`,
     /// per-tenant sims/s are `serve.tenant_sims.<class>`).
     pub rates: Vec<RateSample>,
 }

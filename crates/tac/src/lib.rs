@@ -19,7 +19,7 @@
 //! use ascdg_tac::TacQuery;
 //!
 //! let model = CoverageModel::from_names("u", ["a", "b"]).unwrap();
-//! let repo = CoverageRepository::new(model.clone());
+//! let mut repo = CoverageRepository::new(model.clone());
 //! let mut v = CoverageVector::empty(2);
 //! v.set(model.id("a").unwrap());
 //! repo.record(TemplateId(0), &v);
@@ -179,7 +179,7 @@ pub fn relevant_params(library: &TemplateLibrary, ranking: &[TacRanking]) -> Vec
 /// use ascdg_tac::unique_coverage;
 ///
 /// let model = CoverageModel::from_names("u", ["a", "b"]).unwrap();
-/// let repo = CoverageRepository::new(model.clone());
+/// let mut repo = CoverageRepository::new(model.clone());
 /// let mut only_a = CoverageVector::empty(2);
 /// only_a.set(model.id("a").unwrap());
 /// repo.record(TemplateId(0), &only_a);
@@ -222,8 +222,8 @@ pub fn unique_coverage(repo: &CoverageRepository, template: TemplateId) -> Vec<E
 /// use ascdg_tac::minimal_regression;
 ///
 /// let model = CoverageModel::from_names("u", ["a", "b", "c"]).unwrap();
-/// let repo = CoverageRepository::new(model.clone());
-/// let record = |t: u32, names: &[&str]| {
+/// let mut repo = CoverageRepository::new(model.clone());
+/// let mut record = |t: u32, names: &[&str]| {
 ///     let mut v = CoverageVector::empty(3);
 ///     for n in names { v.set(model.id(n).unwrap()); }
 ///     repo.record(TemplateId(t), &v);
@@ -309,7 +309,7 @@ mod tests {
         (model, repo)
     }
 
-    fn record(repo: &CoverageRepository, t: u32, hits: &[u32], sims: usize) {
+    fn record(repo: &mut CoverageRepository, t: u32, hits: &[u32], sims: usize) {
         for _ in 0..sims {
             let mut v = CoverageVector::empty(3);
             for &h in hits {
@@ -321,12 +321,12 @@ mod tests {
 
     #[test]
     fn ranking_orders_by_weighted_rate() {
-        let (model, repo) = setup();
+        let (model, mut repo) = setup();
         // t0 hits e1 always; t1 hits e1 half the time; t2 never.
-        record(&repo, 0, &[1], 10);
-        record(&repo, 1, &[1], 5);
-        record(&repo, 1, &[], 5);
-        record(&repo, 2, &[0], 10);
+        record(&mut repo, 0, &[1], 10);
+        record(&mut repo, 1, &[1], 5);
+        record(&mut repo, 1, &[], 5);
+        record(&mut repo, 2, &[0], 10);
         let q = TacQuery::new([(model.id("e1").unwrap(), 1.0)]);
         let rows = q.run(&repo);
         assert_eq!(rows.len(), 3);
@@ -339,9 +339,9 @@ mod tests {
 
     #[test]
     fn weights_change_the_winner() {
-        let (model, repo) = setup();
-        record(&repo, 0, &[0], 10); // e0 specialist
-        record(&repo, 1, &[1], 10); // e1 specialist
+        let (model, mut repo) = setup();
+        record(&mut repo, 0, &[0], 10); // e0 specialist
+        record(&mut repo, 1, &[1], 10); // e1 specialist
         let q = TacQuery::new([
             (model.id("e0").unwrap(), 0.1),
             (model.id("e1").unwrap(), 1.0),
@@ -356,10 +356,10 @@ mod tests {
 
     #[test]
     fn min_sims_filters_noise() {
-        let (model, repo) = setup();
-        record(&repo, 0, &[1], 1); // one lucky sim
-        record(&repo, 1, &[1], 50);
-        record(&repo, 1, &[], 50);
+        let (model, mut repo) = setup();
+        record(&mut repo, 0, &[1], 1); // one lucky sim
+        record(&mut repo, 1, &[1], 50);
+        record(&mut repo, 1, &[], 50);
         let q = TacQuery::new([(model.id("e1").unwrap(), 1.0)]).with_min_sims(10);
         let rows = q.run(&repo);
         assert_eq!(rows.len(), 1);
@@ -368,9 +368,9 @@ mod tests {
 
     #[test]
     fn top_n_truncates() {
-        let (model, repo) = setup();
+        let (model, mut repo) = setup();
         for t in 0..5 {
-            record(&repo, t, &[0], 4);
+            record(&mut repo, t, &[0], 4);
         }
         let q = TacQuery::new([(model.id("e0").unwrap(), 1.0)]);
         assert_eq!(q.top_n(&repo, 2).len(), 2);
@@ -378,9 +378,9 @@ mod tests {
 
     #[test]
     fn ties_break_deterministically() {
-        let (model, repo) = setup();
-        record(&repo, 3, &[2], 10);
-        record(&repo, 1, &[2], 10);
+        let (model, mut repo) = setup();
+        record(&mut repo, 3, &[2], 10);
+        record(&mut repo, 1, &[2], 10);
         let q = TacQuery::new([(model.id("e2").unwrap(), 1.0)]);
         let rows = q.run(&repo);
         assert_eq!(rows[0].template, TemplateId(1));
@@ -416,9 +416,9 @@ mod tests {
 
     #[test]
     fn unique_coverage_finds_sole_providers() {
-        let (model, repo) = setup();
-        record(&repo, 0, &[0, 1], 5);
-        record(&repo, 1, &[1, 2], 5);
+        let (model, mut repo) = setup();
+        record(&mut repo, 0, &[0, 1], 5);
+        record(&mut repo, 1, &[1, 2], 5);
         assert_eq!(
             unique_coverage(&repo, TemplateId(0)),
             vec![model.id("e0").unwrap()]
@@ -431,11 +431,11 @@ mod tests {
 
     #[test]
     fn minimal_regression_is_a_cover() {
-        let (_, repo) = setup();
-        record(&repo, 0, &[0], 3);
-        record(&repo, 1, &[1], 3);
-        record(&repo, 2, &[2], 3);
-        record(&repo, 3, &[0, 1], 3);
+        let (_, mut repo) = setup();
+        record(&mut repo, 0, &[0], 3);
+        record(&mut repo, 1, &[1], 3);
+        record(&mut repo, 2, &[2], 3);
+        record(&mut repo, 3, &[0, 1], 3);
         let picked = minimal_regression(&repo);
         // Every covered event must be covered by the picked set.
         for e in repo.model().event_ids() {
@@ -459,11 +459,11 @@ mod tests {
     #[test]
     fn coverage_holes_sorted_hardest_first() {
         use ascdg_coverage::StatusPolicy;
-        let (model, repo) = setup();
+        let (model, mut repo) = setup();
         for _ in 0..3 {
-            record(&repo, 0, &[0], 50);
+            record(&mut repo, 0, &[0], 50);
         }
-        record(&repo, 0, &[1], 2);
+        record(&mut repo, 0, &[1], 2);
         let holes = coverage_holes(&repo, StatusPolicy::default());
         // e2 never hit (0), e1 hit twice, e0 hit 150 but rate 150/152 high
         // => e0 well-hit, holes are [e2, e1] in that order.

@@ -122,7 +122,7 @@ proptest! {
             "u",
             (0..events).map(|i| format!("e{i}")),
         ).expect("unique");
-        let repo = CoverageRepository::new(model.clone());
+        let mut repo = CoverageRepository::new(model.clone());
         for (t, hits) in &records {
             let mut v = CoverageVector::empty(events);
             for &h in hits.iter().filter(|&&h| h < events) {
